@@ -2,8 +2,8 @@
 
 Unlike the table benches (single-shot full experiments), these measure the
 hot inner pieces with pytest-benchmark's statistical machinery: multiplexer
-round-trips, PPM prediction throughput, SAX encoding, and a single
-constrained forecast.
+round-trips, PPM prediction throughput, forked batch scoring, SAX
+encoding, and a single constrained forecast.
 """
 
 import numpy as np
@@ -41,7 +41,6 @@ def test_kernel_ppm_ingest_and_predict(benchmark):
 
 
 def test_kernel_ppm_generation_throughput(benchmark):
-    rng = np.random.default_rng(2)
     context = (list(range(10)) + [10]) * 60
 
     def run():
@@ -50,6 +49,24 @@ def test_kernel_ppm_generation_throughput(benchmark):
 
     result = benchmark(run)
     assert len(result.tokens) == 200
+
+
+def test_kernel_ppm_forked_batch_scoring(benchmark):
+    """One lockstep decode step's model work: fork five groups off a
+    prefilled state, score them in one batch and advance each."""
+    rng = np.random.default_rng(3)
+    prefilled = PPMLanguageModel(vocab_size=11, max_order=12)
+    prefilled.reset(rng.integers(0, 11, size=700).tolist())
+
+    def run():
+        root = prefilled.fork()
+        groups = [root] + [root.fork() for _ in range(4)]
+        PPMLanguageModel.advance_batch(groups, [0, 1, 2, 3, 4])
+        return PPMLanguageModel.next_distribution_batch(groups)
+
+    matrix = benchmark(run)
+    assert matrix.shape == (5, 11)
+    assert np.allclose(matrix.sum(axis=1), 1.0)
 
 
 def test_kernel_sax_encode(benchmark):

@@ -119,7 +119,10 @@ class ForecastGateway:
         )
         self.metrics = self.engine.metrics
         self._inflight: dict[str, _Inflight] = {}
-        self._handles: set[GatewayHandle] = set()
+        # Handles still awaiting their response; each one leaves on
+        # completion, so finished handles (and their responses) are freed
+        # with the caller's last reference.
+        self._pending: set[GatewayHandle] = set()
         self._closed = False
 
     # -- submission ----------------------------------------------------------
@@ -171,7 +174,7 @@ class ForecastGateway:
         self.metrics.gauge("gateway_pending").set(self.admission.pending)
 
         handle = GatewayHandle(request, digest, loop=loop)
-        self._handles.add(handle)
+        self._track(handle)
         entry = _Inflight(handle)
         self._inflight[digest] = entry
 
@@ -216,7 +219,7 @@ class ForecastGateway:
         follower = GatewayHandle(request, digest, loop=loop, coalesced=True)
         follower.completed = entry.leader.completed
         follower.requested = entry.leader.requested
-        self._handles.add(follower)
+        self._track(follower)
         entry.followers.append(follower)
         self.metrics.counter("gateway_coalesced_total").inc()
         follower.publish(
@@ -227,6 +230,13 @@ class ForecastGateway:
             )
         )
         return follower
+
+    def _track(self, handle: GatewayHandle) -> None:
+        """Hold ``handle`` in the pending set until its future completes."""
+        self._pending.add(handle)
+        handle.future.add_done_callback(
+            lambda _future: self._pending.discard(handle)
+        )
 
     # -- event-loop callbacks -------------------------------------------------
 
@@ -357,7 +367,7 @@ class ForecastGateway:
         if self._closed:
             return
         self._closed = True
-        pending = [h.future for h in self._handles if not h.done]
+        pending = [h.future for h in self._pending if not h.done]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
         if self._owns_engine:

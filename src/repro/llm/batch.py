@@ -17,11 +17,14 @@ Two substrate properties make this cheap *and* exact:
   prompt + generated tokens), so streams whose generated prefixes are
   equal share bit-identical model state.  The scheduler therefore keeps
   one model per *group* of streams with the same prefix, scoring each
-  distinct state once per step and forking (copy-on-write, from PR 3)
-  only when sampled tokens split a group.  Early in a decode — and for
-  the whole decode at low temperatures — the batch collapses to a
-  handful of groups, which is where the ≥3× win over the pooled path
-  comes from (see ``benchmarks/bench_batching.py``).
+  distinct state once per step and forking only when sampled tokens
+  split a group.  A PPM fork shares the frozen context table and copies
+  only the rows its parent advanced through since prefill, and the
+  forks of one decode share overlay storage, so one step scores and
+  advances all of its groups with a few array operations.  Early in a
+  decode — and for the whole decode at low temperatures — the batch
+  collapses to a handful of groups, which is where the ≥3× win over the
+  pooled path comes from (see ``benchmarks/bench_batching.py``).
 * **Bit-identity** — every stream samples through the same
   :func:`~repro.llm.sampling.sample_from_distribution` routine, with the
   same per-stream generator the sequential path would use, from a
@@ -41,10 +44,10 @@ import numpy as np
 from repro.exceptions import GenerationError
 from repro.llm.constraints import Constraint
 from repro.llm.interface import GenerationResult, LanguageModel
-from repro.llm.sampling import filter_distribution, mask_for_ids
+from repro.llm.sampling import cdf_rows, draw_token, filter_rows, mask_for_ids
 from repro.observability.spans import NULL_TRACER
 
-__all__ = ["BatchedDecoder"]
+__all__ = ["BatchedDecoder", "decode_step"]
 
 
 class _Stream:
@@ -74,6 +77,92 @@ class _Group:
         self.streams = streams
         self.tokens = tokens
         self.log_probs = log_probs
+
+
+def decode_step(
+    groups: list[_Group],
+    matrix: np.ndarray,
+    temperature: float = 1.0,
+    top_k: int | None = None,
+    top_p: float | None = None,
+    allowed_mask: np.ndarray | None = None,
+) -> list[_Group]:
+    """Sample one token per live stream and regroup — one lockstep step.
+
+    ``matrix`` holds the scored next-token row of each group (row ``i``
+    for ``groups[i]``).  All groups share the sampling knobs;
+    ``allowed_mask`` is one ``(V,)`` mask for all of them (the streams of
+    one request) or a ``(G, V)`` mask with a row per group (the
+    continuous scheduler, whose requests sit at different positions).
+    The deterministic filter runs once over the whole ``(G, V)`` matrix,
+    then each stream draws its token from its group's cdf row with its
+    own generator — consuming it exactly as the sequential path's
+    :func:`~repro.llm.sampling.sample_from_distribution` would.  Each
+    group is then partitioned by sampled token: the first partition keeps
+    the group's model, later partitions fork it, and one
+    :meth:`~repro.llm.interface.LanguageModel.advance_batch` call
+    advances every partition's model by its token.  Returns the next
+    step's groups, in order.
+    """
+    probs, greedy = filter_rows(
+        matrix,
+        temperature=temperature,
+        top_k=top_k,
+        top_p=top_p,
+        allowed_mask=allowed_mask,
+    )
+    cdf = None if greedy else cdf_rows(probs)
+    next_groups: list[_Group] = []
+    models: list[LanguageModel] = []
+    tokens: list[int] = []
+    drawn: list[float] = []
+    for row, group in enumerate(groups):
+        streams = group.streams
+        if greedy:
+            buckets = {int(np.argmax(probs[row])): streams}
+        elif len(streams) == 1:
+            buckets = {draw_token(cdf[row], streams[0].rng): streams}
+        else:
+            cdf_row = cdf[row]
+            buckets = {}
+            for stream in streams:
+                token = draw_token(cdf_row, stream.rng)
+                members = buckets.get(token)
+                if members is None:
+                    buckets[token] = [stream]
+                else:
+                    members.append(stream)
+        if len(buckets) == 1:
+            # No split: the group carries on, its lists grow in place.
+            next_groups.append(group)
+            models.append(group.model)
+            (token,) = buckets
+            tokens.append(token)
+            drawn.append(probs[row, token])
+            continue
+        # The first partition keeps the group's model, later ones fork it;
+        # nothing advances before every fork is taken.
+        for i, (token, members) in enumerate(buckets.items()):
+            model = group.model if i == 0 else group.model.fork()
+            next_groups.append(
+                _Group(
+                    model=model,
+                    streams=members,
+                    tokens=list(group.tokens),
+                    log_probs=list(group.log_probs),
+                )
+            )
+            models.append(model)
+            tokens.append(token)
+            drawn.append(probs[row, token])
+    # np.log over the step's draws at once, the same per element as the
+    # sequential path's scalar np.log.
+    log_probs = np.log(np.maximum(drawn, 1e-300)).tolist()
+    for group, token, log_prob in zip(next_groups, tokens, log_probs):
+        group.tokens.append(token)
+        group.log_probs.append(log_prob)
+    type(models[0]).advance_batch(models, tokens)
+    return next_groups
 
 
 class BatchedDecoder:
@@ -195,80 +284,45 @@ class BatchedDecoder:
             )
             groups = [root]
             position = 0
+            retire_at = 0  # no stream's budget runs out before this step
             while True:
-                live: list[_Group] = []
-                for group in groups:
-                    keep: list[_Stream] = []
-                    for stream in group.streams:
-                        if stream.budget <= position:
-                            results[stream.index] = GenerationResult(
-                                tokens=list(group.tokens),
-                                log_probs=list(group.log_probs),
-                            )
-                        else:
-                            keep.append(stream)
-                    if keep:
-                        group.streams = keep
-                        live.append(group)
-                groups = live
+                if position >= retire_at:
+                    live: list[_Group] = []
+                    for group in groups:
+                        keep: list[_Stream] = []
+                        for stream in group.streams:
+                            if stream.budget <= position:
+                                results[stream.index] = GenerationResult(
+                                    tokens=list(group.tokens),
+                                    log_probs=list(group.log_probs),
+                                )
+                            else:
+                                keep.append(stream)
+                        if keep:
+                            group.streams = keep
+                            live.append(group)
+                    groups = live
+                    streams = [stream for group in groups for stream in group.streams]
+                    retire_at = min((stream.budget for stream in streams), default=0)
                 if not groups:
                     break
                 if stop is not None and stop():
                     self.stopped = True
                     break
-                self.occupancy.append(
-                    sum(len(group.streams) for group in groups)
-                )
+                self.occupancy.append(len(streams))
                 self.group_counts.append(len(groups))
                 mask = self._mask_at(position)
                 matrix = type(groups[0].model).next_distribution_batch(
                     [group.model for group in groups]
                 )
-                next_groups: list[_Group] = []
-                for row, group in enumerate(groups):
-                    # The deterministic filtering half of sampling depends
-                    # only on the shared row, so it runs once per group;
-                    # each stream then consumes its own RNG exactly as the
-                    # sequential path's sample_from_distribution would.
-                    p, greedy = filter_distribution(
-                        matrix[row],
-                        temperature=self._temperature,
-                        top_k=self._top_k,
-                        top_p=self._top_p,
-                        allowed_mask=mask,
-                    )
-                    size = p.size
-                    buckets: dict[int, list[_Stream]] = {}
-                    drawn: dict[int, float] = {}
-                    for stream in group.streams:
-                        if greedy:
-                            token = int(np.argmax(p))
-                        else:
-                            token = int(stream.rng.choice(size, p=p))
-                        members = buckets.get(token)
-                        if members is None:
-                            buckets[token] = [stream]
-                            drawn[token] = float(p[token])
-                        else:
-                            members.append(stream)
-                    items = list(buckets.items())
-                    # Fork for the later partitions *before* the first one
-                    # advances the shared model in place.
-                    forks = [group.model] + [
-                        group.model.fork() for _ in items[1:]
-                    ]
-                    for (token, members), model in zip(items, forks):
-                        model.advance(token)
-                        next_groups.append(
-                            _Group(
-                                model=model,
-                                streams=members,
-                                tokens=group.tokens + [token],
-                                log_probs=group.log_probs
-                                + [float(np.log(max(drawn[token], 1e-300)))],
-                            )
-                        )
-                groups = next_groups
+                groups = decode_step(
+                    groups,
+                    matrix,
+                    temperature=self._temperature,
+                    top_k=self._top_k,
+                    top_p=self._top_p,
+                    allowed_mask=mask,
+                )
                 position += 1
             self.steps = len(self.occupancy)
             if span.is_recording:

@@ -67,6 +67,31 @@ class LanguageModel(ABC):
     def advance(self, token: int) -> None:
         """Append ``token`` to the session and update internal structure."""
 
+    def extend(self, tokens: Sequence[int]) -> None:
+        """Append ``tokens`` to the session, as ``advance`` on each in turn.
+
+        Prefill paths that ingest a prompt in chunks (checkpointing
+        caches, the radix prefill tree) call this for each chunk, so
+        substrates with a bulk ingest (PPM) take their fast path; the
+        default simply loops :meth:`advance`.
+        """
+        for token in tokens:
+            self.advance(int(token))
+
+    @classmethod
+    def advance_batch(
+        cls, models: Sequence["LanguageModel"], tokens: Sequence[int]
+    ) -> None:
+        """Advance ``models[i]`` by ``tokens[i]`` for every ``i``.
+
+        The batched decode step advances all of its groups through one
+        call, so substrates that share storage across forks (PPM) can do
+        the work in a few array operations; the default loops
+        :meth:`advance`.
+        """
+        for model, token in zip(models, tokens):
+            model.advance(token)
+
     @classmethod
     def next_distribution_batch(
         cls, models: Sequence["LanguageModel"]

@@ -18,13 +18,45 @@ where ``s_k`` is the length-``k`` suffix, ``c`` are continuation counts and
 order ``max_order`` down to order 0 and finally a uniform floor, so every
 token always has non-zero probability.
 
-The context index is *incremental*: ingesting the prompt is O(n · max_order)
-dictionary updates and every generated token costs O(max_order), which keeps
-full benchmark sweeps fast.
+Storage is a flat, array-backed context table.  Every context (a token
+string of length ``0..max_order``) has an exact dense integer id: the empty
+context is id 0, and the context ``s + t`` is interned under the key
+``(id(s), t)`` — stored as the flat offset ``id(s) · 2V + V + t``, bounded
+by the table size, so it cannot overflow for any vocabulary or order and
+no two contexts share one.  Each context owns one int32 row of width
+``2V``: its continuation counts (``[:V]``; row 0 is the order-0 unigram
+row) and its transitions (``[V:]``: the id of ``s + t``, or -1).  The
+order-``k`` context at the next position is therefore one lookup away from
+the order-``k-1`` context at this one.
+
+Costs:
+
+* :meth:`PPMLanguageModel.extend` ingests a whole token run with numpy: per
+  order it looks up every new position's context at once and interns the
+  unseen ones with a :func:`numpy.unique`-style sort, then adds all
+  ``(context, next token)`` pairs with one :func:`numpy.add.at` into a
+  *fresh* table — a dozen numpy calls per order instead of ``max_order``
+  Python dict updates per token.  :meth:`~PPMLanguageModel.reset` is
+  ``extend`` on an empty model.
+* Tables are frozen once built, so models share them freely.  Decode-time
+  :meth:`~PPMLanguageModel.advance` writes into a small *overlay*: private
+  copies of the rows of the contexts the model has been in, including
+  contexts the table never saw.  :meth:`~PPMLanguageModel.fork` shares the
+  table and copies only the overlay — O(tokens advanced since the table
+  was built · order), never O(contexts).  The forks of one decode keep
+  their overlays in one shared store, so
+  :meth:`~PPMLanguageModel.advance_batch` updates all of a step's models
+  with one scatter and one gather.
+* :meth:`~PPMLanguageModel.next_distribution_batch` gathers the current
+  context rows of all models into one ``(G, max_order + 1, V)`` array and
+  runs the escape cascade for every row and order at once.  The scalar
+  :meth:`~PPMLanguageModel.next_distribution` is the same computation on a
+  batch of one.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -34,54 +66,114 @@ from repro.llm.interface import LanguageModel
 
 __all__ = ["PPMLanguageModel"]
 
+#: The escape cascade stops descending once the remaining weight drops
+#: below this (order 0 and the uniform floor still apply).
+_CUTOFF = 1e-12
 
-class _ContextCounts:
-    """Continuation counts for one context order: suffix-tuple -> counts.
 
-    Cloning is copy-on-write: a clone shares the parent's per-suffix count
-    dicts and copies one only when it is first mutated afterwards.  That
-    makes :meth:`clone` a single C-level shallow dict copy — O(1) per entry
-    instead of O(tokens) — which is what keeps fork-after-prefill cheap,
-    while a decode that advances ``m`` tokens privatises only the ``m ×
-    max_order`` entries it actually touches.  ``_owned`` is ``None`` until
-    the first clone (never-forked models skip the ownership check entirely)
-    and afterwards holds the suffixes whose count dicts this instance owns.
+def _blank_rows(count: int, vocab_size: int) -> np.ndarray:
+    """``count`` context rows with no counts and no transitions."""
+    rows = np.zeros((count, 2 * vocab_size), dtype=np.int32)
+    rows[:, vocab_size:] = -1
+    return rows
+
+
+def _intern(keys: np.ndarray, next_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids from ``next_id`` up for unseen context ``keys``.
+
+    Equal keys share one id, and ids follow first occurrence — so when
+    the next order extends these contexts, its keys arrive already sorted
+    and distinct and skip the sort entirely.  Returns ``(ids, distinct
+    keys in id order)``; this is :func:`numpy.unique`'s stable sort and
+    boundary scan, plus the first-occurrence ranking.
+    """
+    count = keys.size
+    if count == 1 or bool((keys[1:] > keys[:-1]).all()):
+        return np.arange(next_id, next_id + count), keys
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    first = np.empty(count, dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    if first.all():
+        return np.arange(next_id, next_id + count), keys
+    group = np.cumsum(first) - 1
+    # A stable sort puts each group's first occurrence at its head.
+    by_first = order[first].argsort()
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(next_id, next_id + by_first.size)
+    ids = np.empty(count, dtype=np.int64)
+    ids[order] = rank[group]
+    return ids, ranked[first][by_first]
+
+
+class _Overlay:
+    """Decode-time rows shared by the forks of one decode.
+
+    A row is a private copy of one context's table row, owned by exactly
+    one model (``owner`` holds the model's tag, handed out by
+    :meth:`new_tag`; ``ids`` the context's table id, or -1 for a context
+    the table never saw).  In overlay rows the
+    transition columns are *links*: ``>= 0`` is still a table id, ``-1``
+    no context, and ``-2 - r`` the owner's private row ``r``.  A context
+    is privatised through its parent's link (its only way in), so after
+    that every visit resolves it without a lookup table.
+
+    :meth:`PPMLanguageModel.fork` copies the parent's rows into fresh ones
+    for the child, so models never see each other's writes; sharing the
+    storage is what lets one decode step advance and score all of its
+    models with a handful of array operations.  Row 0 is blank.  ``lock``
+    serialises allocation and writes, so forks used from different
+    threads stay safe.  ``batch`` remembers the last batch advanced — its
+    models' tags and their ``(G, max_order + 1)`` current rows — so the
+    next step over the same models reuses that array as is.
     """
 
-    __slots__ = ("table", "_owned")
+    __slots__ = ("rows", "ids", "owner", "used", "tags", "lock", "batch")
 
     def __init__(self) -> None:
-        self.table: dict[tuple[int, ...], dict[int, int]] = {}
-        self._owned: set[tuple[int, ...]] | None = None
+        self.rows: np.ndarray | None = None
+        self.ids: np.ndarray | None = None
+        self.owner: np.ndarray | None = None
+        self.used = 1
+        self.tags = 0
+        self.lock = threading.Lock()
+        self.batch: tuple[tuple, np.ndarray] | None = None
 
-    def observe(self, suffix: tuple[int, ...], token: int) -> None:
-        table = self.table
-        counts = table.get(suffix)
-        owned = self._owned
-        if counts is None:
-            counts = table[suffix] = {}
-            if owned is not None:
-                owned.add(suffix)
-        elif owned is not None and suffix not in owned:
-            counts = table[suffix] = dict(counts)
-            owned.add(suffix)
-        counts[token] = counts.get(token, 0) + 1
+    def new_tag(self) -> int:
+        """A tag no other model of this store holds (caller holds the lock)."""
+        self.tags += 1
+        return self.tags
 
-    def get(self, suffix: tuple[int, ...]) -> dict[int, int] | None:
-        return self.table.get(suffix)
+    def allocate(self, count: int, vocab_size: int) -> int:
+        """Reserve ``count`` rows (caller holds the lock); return the first."""
+        start = self.used
+        end = start + count
+        if self.rows is None or end > self.rows.shape[0]:
+            size = max(2 * end, 64)
+            rows = _blank_rows(size, vocab_size)
+            ids = np.full(size, -1, dtype=np.int64)
+            owner = np.zeros(size, dtype=np.int64)
+            if self.rows is not None:
+                rows[:start] = self.rows[:start]
+                ids[:start] = self.ids[:start]
+                owner[:start] = self.owner[:start]
+            self.rows, self.ids, self.owner = rows, ids, owner
+        self.used = end
+        return start
 
-    def clone(self) -> "_ContextCounts":
-        """An independent copy sharing count dicts until either side writes.
+    def owned(self, tag: int) -> np.ndarray:
+        """Rows owned by ``tag``, ascending (caller holds the lock)."""
+        return np.flatnonzero(self.owner[: self.used] == tag)
 
-        Both parent and clone drop ownership of every shared entry, so
-        mutation on *either* side privatises before writing — the two never
-        observe each other's updates.
-        """
-        fresh = _ContextCounts()
-        fresh.table = dict(self.table)
-        fresh._owned = set()
-        self._owned = set()
-        return fresh
+    def __getstate__(self):
+        return self.rows, self.ids, self.owner, self.used, self.tags
+
+    def __setstate__(self, state) -> None:
+        self.rows, self.ids, self.owner, self.used, self.tags = state
+        self.lock = threading.Lock()
+        self.batch = None
+
 
 
 class PPMLanguageModel(LanguageModel):
@@ -97,6 +189,21 @@ class PPMLanguageModel(LanguageModel):
     uniform_floor:
         Weight left for the uniform distribution after the order-0 escape —
         keeps the model proper and mildly exploratory.
+
+    State:
+
+    * ``_table`` — the frozen ``(N + 1, 2V)`` rows of context ids
+      ``0..N-1`` plus a blank sentinel row ``N``; never written once built.
+    * ``_tag`` — ``None`` while the model is exactly its table (and has
+      no ``_overlay``); after the first :meth:`advance`, its rows in
+      ``_overlay`` carry this tag.
+    * ``_rows`` — the current context of every order in *slot* order (slot
+      ``i`` holds order ``max_order - i``): table rows (= context ids) while
+      clean, overlay rows once advanced; slots for orders longer than the
+      history point at a blank row.
+    * ``_last``/``_recent`` — the last ``max_order`` tokens when the table
+      was built and the tokens advanced since, from which the first
+      :meth:`advance` rebuilds the recent contexts' links.
     """
 
     def __init__(
@@ -114,131 +221,418 @@ class PPMLanguageModel(LanguageModel):
             )
         self.max_order = max_order
         self.uniform_floor = uniform_floor
-        self._orders: list[_ContextCounts] = []
-        self._zero_counts = np.zeros(vocab_size, dtype=float)
-        self._history: list[int] = []
+        self._load(_blank_rows(2, vocab_size), 0, np.zeros(1, dtype=np.int64), ())
+
+    # -- state plumbing -----------------------------------------------------
+
+    def _load(
+        self, table: np.ndarray, n: int, current: np.ndarray, last: tuple
+    ) -> None:
+        """Adopt the frozen ``table`` after ``n`` tokens, with no overlay.
+
+        ``current`` holds the current context ids in slot order (longest
+        order first), ``last`` the last ``max_order`` tokens.
+        """
+        self._table = table
+        self._n = n
+        rows = np.full(self.max_order + 1, table.shape[0] - 1, dtype=np.intp)
+        rows[self.max_order + 1 - len(current) :] = current
+        self._rows = rows
+        self._last = last
+        self._recent: list[int] = []
+        self._overlay: _Overlay | None = None
+        self._tag: int | None = None
+
+    def _tail(self) -> tuple:
+        """The last ``max_order`` tokens of the history."""
+        if not self.max_order:
+            return ()
+        return (self._last + tuple(self._recent))[-self.max_order :]
+
+    def _source(self) -> np.ndarray:
+        """The array ``_rows`` index: the table, or the overlay's rows."""
+        return self._table if self._tag is None else self._overlay.rows
+
+    def _folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table with the overlay merged in (sentinel last), and the
+        current context ids in slot order."""
+        live = self._rows[self.max_order - min(self.max_order, self._n) :]
+        if self._tag is None:
+            return self._table, live
+        overlay = self._overlay
+        vocab = self.vocab_size
+        with overlay.lock:
+            own = overlay.owned(self._tag)
+            block = overlay.rows[own]
+            ids = overlay.ids[own]
+        table = self._table
+        known = table.shape[0] - 1
+        fresh = ids < 0
+        ids[fresh] = np.arange(known, known + int(np.count_nonzero(fresh)))
+        links = block[:, vocab:]
+        private = links < -1
+        links[private] = ids[own.searchsorted(-2 - links[private])]
+        folded = _blank_rows(known + int(np.count_nonzero(fresh)) + 1, vocab)
+        folded[:known] = table[:known]
+        folded[ids] = block
+        return folded, ids[own.searchsorted(live)]
 
     # -- session protocol ---------------------------------------------------
 
     def reset(self, context: Sequence[int]) -> None:
         """Rebuild the context index from scratch and ingest ``context``."""
-        self._orders = [_ContextCounts() for _ in range(self.max_order + 1)]
-        self._zero_counts = np.zeros(self.vocab_size, dtype=float)
-        self._history = []
-        for token in context:
-            self.advance(int(token))
+        self._load(
+            _blank_rows(2, self.vocab_size), 0, np.zeros(1, dtype=np.int64), ()
+        )
+        self.extend(context)
+
+    def extend(self, tokens: Sequence[int]) -> None:
+        """Ingest ``tokens`` in bulk into a fresh context table.
+
+        Bit-identical to ``advance``-ing each token in turn.  Per order
+        ``k``, the context of each new position is the order-``k-1``
+        context one position earlier extended by the token there, so one
+        gather through the transition columns resolves every context the
+        table already has, and a :func:`numpy.unique`-style sort interns
+        the rest.  All ``(context, next token)`` pairs then land in the new
+        table through one unbuffered :func:`numpy.add.at`.
+        """
+        x = np.asarray(tokens, dtype=np.int64).reshape(-1)
+        length = x.size
+        if length == 0:
+            return
+        vocab = self.vocab_size
+        if x.min() < 0 or x.max() >= vocab:
+            self._check_token(int(x[(x < 0) | (x >= vocab)][0]))
+        width = 2 * vocab
+        old, current = self._folded()
+        known = old.shape[0] - 1
+        # Offsets past the end clip to the sentinel's last column (-1).
+        lookup = old.reshape(-1)
+        order = self.max_order
+        n = self._n
+        shifted = x + vocab
+        # ctx[k, j]: id of the order-k context at position n + j, -1 while
+        # the history is shorter than k.
+        ctx = np.full((order + 1, length + 1), -1, dtype=np.int64)
+        ctx[0] = 0
+        ctx[: len(current), 0] = current[::-1]
+        next_id = known
+        interned = []
+        for k in range(1, order + 1):
+            start = max(1, k - n)
+            if start > length:
+                break
+            keys = ctx[k - 1, start - 1 : length] * width
+            keys += shifted[start - 1 : length]
+            ids = lookup.take(keys, mode="clip")
+            fresh = ids < 0
+            unseen = keys[fresh]
+            if unseen.size:
+                ids[fresh], unseen = _intern(unseen, next_id)
+                next_id += unseen.size
+                interned.append(unseen)
+            ctx[k, start:] = ids
+        table = np.empty((next_id + 1, width), dtype=np.int32)
+        table[:known] = old[:known]
+        table[known:] = _blank_rows(1, vocab)
+        flat = table.reshape(-1)
+        if interned:
+            flat[np.concatenate(interned)] = np.arange(known, next_id)
+        observed = ctx[:, :length]
+        np.add.at(flat, (observed * width + x)[observed >= 0], np.int32(1))
+        total = n + length
+        depth = min(order, total)
+        tail = (self._tail() + tuple(x[-order:].tolist())) if order else ()
+        self._load(table, total, ctx[depth::-1, length], tail[-order:] if order else ())
 
     def fork(self) -> "PPMLanguageModel":
-        """Copy-on-write fork: per-order tables share counts until written.
+        """Copy-on-write fork: share the frozen table, copy the overlay.
 
-        Orders of magnitude faster than re-ingesting the prompt (one
-        shallow dict copy per order instead of per-token Python suffix
-        updates), and observationally independent — writes on either side
-        privatise the touched entry first, so the continuation counts of
-        parent and fork never influence each other.  Subclasses keep the
-        base deepcopy (their extra state is unknown here).
+        The table is never written after construction, so parent and fork
+        both read it.  The fork gets private copies of the parent's
+        overlay rows (links relocated), so their continuation counts never
+        influence each other.  Cost is O(overlay) — the rows advanced
+        through since the table was built — independent of the prompt
+        length.  The forks of an advanced model share its overlay storage,
+        which batches their later steps; the parent itself is only read.
+        Subclasses keep the base deepcopy (their extra state is unknown
+        here).
         """
         if type(self) is not PPMLanguageModel:
             return super().fork()
-        fresh = PPMLanguageModel(
-            self.vocab_size,
-            max_order=self.max_order,
-            uniform_floor=self.uniform_floor,
-        )
-        fresh._orders = [order.clone() for order in self._orders]
-        fresh._zero_counts = self._zero_counts.copy()
-        fresh._history = list(self._history)
+        fresh = PPMLanguageModel.__new__(PPMLanguageModel)
+        fresh.__dict__.update(self.__dict__)
+        fresh._recent = self._recent[len(self._recent) - self.max_order :]
+        overlay = self._overlay
+        if self._tag is not None:
+            vocab = self.vocab_size
+            with overlay.lock:
+                own = overlay.owned(self._tag)
+                start = overlay.allocate(own.size, vocab)
+                block = overlay.rows[own]
+                links = block[:, vocab:]
+                private = links < -1
+                links[private] = -2 - (start + own.searchsorted(-2 - links[private]))
+                end = start + own.size
+                overlay.rows[start:end] = block
+                overlay.ids[start:end] = overlay.ids[own]
+                fresh._tag = overlay.new_tag()
+                overlay.owner[start:end] = fresh._tag
+            rows = self._rows
+            fresh._rows = np.where(rows > 0, start + own.searchsorted(rows), 0)
         return fresh
 
     def advance(self, token: int) -> None:
         """Record ``token``'s continuation at every suffix order."""
         self._check_token(token)
-        history = self._history
-        n = len(history)
-        # Record the continuation for every suffix order ending here.
-        self._zero_counts[token] += 1.0
-        for k in range(1, min(self.max_order, n) + 1):
-            suffix = tuple(history[n - k :])
-            self._orders[k].observe(suffix, token)
-        history.append(token)
+        _advance_together([self], [token])
 
-    def _escape_cascade(self, result: np.ndarray) -> float:
-        """Accumulate orders ``max_order..1`` into ``result``; return the
-        escape weight left for the order-0/uniform tail."""
-        history = self._history
-        n = len(history)
-        weight = 1.0
-        for k in range(min(self.max_order, n), 0, -1):
-            suffix = tuple(history[n - k :])
-            counts = self._orders[k].get(suffix)
-            if not counts:
-                continue
-            total = sum(counts.values())
-            distinct = len(counts)
-            denom = total + distinct
-            for token, count in counts.items():
-                result[token] += weight * count / denom
-            weight *= distinct / denom
-            if weight < 1e-12:
-                break
-        return weight
+    @classmethod
+    def advance_batch(
+        cls, models: Sequence["PPMLanguageModel"], tokens: Sequence[int]
+    ) -> None:
+        """Advance each model by its token, sharing the array work.
 
-    def _order0_tail(self, result: np.ndarray, weight: float) -> np.ndarray:
-        """Order-0 unigram escape plus the uniform floor and normalisation."""
-        total0 = float(self._zero_counts.sum())
-        if total0 > 0.0:
-            distinct0 = float(np.count_nonzero(self._zero_counts))
-            denom0 = total0 + distinct0
-            result += weight * self._zero_counts / denom0
-            weight *= distinct0 / denom0
-        floor_weight = max(weight, self.uniform_floor)
-        result += floor_weight / self.vocab_size
-        return result / result.sum()
+        Models whose overlays share storage (the forks of one decode) are
+        advanced together — one scatter for every count update, one gather
+        for every next context — and the result equals per-model
+        :meth:`advance` calls.  Subclasses fall back to those calls.
+        """
+        if any(type(model) is not PPMLanguageModel for model in models):
+            return super().advance_batch(models, tokens)
+        for model, token in zip(models, tokens):
+            model._check_token(token)
+        _advance_together(models, tokens)
+
+    def _current_counts(self) -> np.ndarray:
+        """``(max_order + 1, V)`` counts of the current contexts, slot order."""
+        return self._source().take(self._rows, axis=0)[:, : self.vocab_size]
 
     def next_distribution(self) -> np.ndarray:
         """PPM-C escape cascade from the longest matching suffix down."""
-        result = np.zeros(self.vocab_size, dtype=float)
-        weight = self._escape_cascade(result)
-        return self._order0_tail(result, weight)
+        return _cascade(
+            self._current_counts()[None], np.array([self.uniform_floor])
+        )[0]
 
     @classmethod
     def next_distribution_batch(
         cls, models: Sequence["PPMLanguageModel"]
     ) -> np.ndarray:
-        """Batched PPM scoring: per-row escape cascades, vectorised tail.
+        """Batched PPM scoring: one gather, one vectorised cascade.
 
-        The sparse high-order cascade stays per-model (it touches only the
-        few counts behind the current suffix), while the dense order-0 /
-        uniform-floor / normalisation tail — the bulk of the per-call numpy
-        work — runs once over the whole ``(S, V)`` matrix.  Every operation
-        keeps the per-element order of the scalar path, so rows are
-        bit-identical to per-model :meth:`next_distribution` calls.
+        The current context rows of all G models are gathered into one
+        ``(G, max_order + 1, V)`` count array — a single indexing operation
+        when they share overlay storage, as the groups of one decode do —
+        and the escape blend runs over every row and order at once, in
+        the scalar path's operation order, so rows are bit-identical to
+        per-model :meth:`next_distribution` calls.  Batches mixing model
+        types, vocabularies or orders fall back to stacking.
         """
-        if any(type(model) is not PPMLanguageModel for model in models):
+        first = models[0]
+        vocab = first.vocab_size
+        if any(
+            type(model) is not PPMLanguageModel
+            or model.vocab_size != vocab
+            or model.max_order != first.max_order
+            for model in models
+        ):
             return super().next_distribution_batch(models)
-        size = models[0].vocab_size
-        if any(model.vocab_size != size for model in models):
-            return super().next_distribution_batch(models)
-        result = np.zeros((len(models), size), dtype=float)
-        weights = np.empty(len(models), dtype=float)
-        for i, model in enumerate(models):
-            weights[i] = model._escape_cascade(result[i])
-        totals = np.array([float(m._zero_counts.sum()) for m in models])
-        if not np.all(totals > 0.0):
-            # Empty-context rows take the scalar tail (rare outside tests).
-            for i, model in enumerate(models):
-                result[i] = model._order0_tail(result[i], float(weights[i]))
-            return result
-        zeros = np.stack([model._zero_counts for model in models])
-        distincts = np.array(
-            [float(np.count_nonzero(m._zero_counts)) for m in models]
-        )
-        denoms = totals + distincts
-        result += weights[:, None] * zeros / denoms[:, None]
-        weights = weights * (distincts / denoms)
-        floors = np.array([model.uniform_floor for model in models])
-        floor_weights = np.maximum(weights, floors)
-        result += floor_weights[:, None] / size
-        sums = np.array([row.sum() for row in result])
-        result /= sums[:, None]
-        return result
+        source = first._source()
+        if all(model._source() is source for model in models):
+            last = first._overlay.batch if first._tag is not None else None
+            if last is not None and last[0] == tuple(m._tag for m in models):
+                rows = last[1].reshape(-1)
+            else:
+                rows = np.concatenate([model._rows for model in models])
+            counts = source.take(rows, axis=0)[:, :vocab].reshape(
+                len(models), first.max_order + 1, vocab
+            )
+        else:
+            counts = np.stack([model._current_counts() for model in models])
+        return _cascade(counts, np.array([model.uniform_floor for model in models]))
+
+
+def _advance_together(
+    models: Sequence[PPMLanguageModel], tokens: Sequence[int]
+) -> None:
+    """Advance PPM ``models`` by ``tokens`` (already validated).
+
+    Models still exactly their table (a prefilled state's fresh forks) get
+    overlay storage here, one store shared by all of them: that is how
+    the groups of one decode come to share it.  Stores are never attached
+    at fork time, so a frozen cached state never holds one.
+    """
+    first = models[0]
+    if first._overlay is not None and all(
+        model._overlay is first._overlay and model._table is first._table
+        for model in models
+    ):
+        batches = [(list(models), [int(token) for token in tokens])]
+    else:
+        fresh = None
+        grouped: dict[tuple[int, int], tuple[list, list]] = {}
+        for model, token in zip(models, tokens):
+            if model._overlay is None:
+                fresh = model._overlay = fresh or _Overlay()
+            key = (id(model._overlay), id(model._table))
+            members, steps = grouped.setdefault(key, ([], []))
+            members.append(model)
+            steps.append(int(token))
+        batches = list(grouped.values())
+    for members, steps in batches:
+        overlay = members[0]._overlay
+        with overlay.lock:
+            for model in members:
+                if model._tag is None:
+                    _open(model, overlay)
+            _advance_shared(overlay, members, steps)
+
+
+def _open(model: PPMLanguageModel, overlay: _Overlay) -> None:
+    """Give a clean ``model`` overlay rows for its recent contexts.
+
+    Every context the model is in — or was in over the last ``max_order``
+    tokens — gets a private row, and each one's link from its parent is
+    rewritten to that row.  Contexts are later privatised through their
+    parent's link only, so this keeps every private context reachable
+    from its private parent (caller holds the lock).
+    """
+    table = model._table
+    vocab = model.vocab_size
+    width = 2 * vocab
+    tail = model._tail()
+    span = len(tail) + 1
+    # tri[j, i]: id of the order-i context j positions into the tail.
+    tri = np.full((span, span), -1, dtype=np.int64)
+    tri[:, 0] = 0
+    for j, token in enumerate(tail):
+        tri[j + 1, 1 : j + 2] = table[tri[j, : j + 1], vocab + token]
+    valid = tri >= 0
+    ids, inverse = np.unique(tri[valid], return_inverse=True)
+    start = overlay.allocate(ids.size, vocab)
+    end = start + ids.size
+    overlay.rows[start:end] = table[ids]
+    overlay.ids[start:end] = ids
+    model._tag = overlay.new_tag()
+    overlay.owner[start:end] = model._tag
+    rows = np.zeros((span, span), dtype=np.intp)
+    rows[valid] = start + inverse
+    if span > 1:
+        children = valid[1:, 1:]
+        links = rows[:-1, :-1] * width + vocab + np.array(tail)[:, None]
+        overlay.rows.reshape(-1)[links[children]] = -2 - rows[1:, 1:][children]
+    slots = np.zeros(model.max_order + 1, dtype=np.intp)
+    slots[model.max_order + 1 - span :] = rows[-1, ::-1]
+    model._rows = slots
+
+
+def _advance_shared(
+    overlay: _Overlay, models: list[PPMLanguageModel], steps: list[int]
+) -> None:
+    """Advance opened models sharing ``overlay`` and one table (lock held).
+
+    Every current context row is private to its model, so the count
+    updates of the whole batch are one scatter and the next contexts one
+    gather through the links.  Links still holding a table id (or -1, a
+    context never seen) get a freshly allocated private row — a copy of
+    the table row, or blank — and are rewritten to it.
+    """
+    first = models[0]
+    vocab = first.vocab_size
+    width = 2 * vocab
+    order = first.max_order
+    table = first._table
+    tokens = np.array(steps, dtype=np.intp)
+    tags = tuple(model._tag for model in models)
+    last = overlay.batch
+    if last is not None and last[0] == tags:
+        current = last[1]
+    elif len(models) > 1:
+        current = np.stack([model._rows for model in models])
+    else:
+        current = models[0]._rows[None]
+    cells = current * width + tokens[:, None]
+    steady = all(model._n >= order for model in models)
+    flat = overlay.rows.reshape(-1)
+    if steady:
+        flat[cells] += 1
+    else:
+        flat[cells[current > 0]] += 1
+    # Slots 1.. (orders max_order-1 .. 0) are the parents of the next
+    # position's orders max_order .. 1.
+    links = cells[:, 1:] + vocab
+    kids = flat[links]
+    # Private rows come straight from the links; the rest are set below.
+    nxt = current.copy()
+    np.subtract(-2, kids, out=nxt[:, :order])
+    need = kids >= -1
+    if not steady:
+        alive = current[:, 1:] > 0
+        nxt[:, :order][~alive] = 0
+        need &= alive
+    count = int(np.count_nonzero(need))
+    if count:
+        start = overlay.allocate(count, vocab)
+        end = start + count
+        fresh = np.arange(start, end)
+        nxt[:, :order][need] = fresh
+        sources = kids[need]
+        overlay.ids[start:end] = sources
+        overlay.owner[start:end] = np.array(tags).repeat(need.sum(axis=1))
+        # -1 (a context the table never saw) wraps to the blank sentinel.
+        overlay.rows[start:end] = table.take(sources, axis=0, mode="wrap")
+        overlay.rows.reshape(-1)[links[need]] = -2 - fresh
+    for model, row, token in zip(models, nxt, steps):
+        model._rows = row
+        model._n += 1
+        recent = model._recent
+        recent.append(token)
+        if len(recent) > 2 * order + 16:
+            del recent[: len(recent) - order]
+    overlay.batch = (tags, nxt)
+
+
+def _cascade(counts: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """PPM-C blend of ``(G, S, V)`` slot-ordered counts into ``(G, V)`` rows.
+
+    Slot ``i`` holds order ``S - 1 - i``; empty rows (no continuations, or
+    an order longer than the history) are skipped.  Per row this performs
+    exactly the scalar cascade: each order adds ``(w · c) / denom`` with
+    ``denom = total + distinct``, then scales ``w`` by ``distinct / denom``;
+    orders 1 and up stop once ``w`` has dropped below ``1e-12``, order 0
+    always applies, and the uniform floor ``max(w, floor) / V`` is added
+    before normalising.  Products and sums run in the same order as the
+    scalar loop (``cumprod``/``cumsum`` along the slot axis are sequential),
+    so every element is bit-identical to it.
+    """
+    groups, slots, vocab = counts.shape
+    totals = counts.sum(axis=2)
+    distinct = (counts > 0).sum(axis=2)
+    # An empty slot gets distinct = denom = 1: it scales the weight by
+    # exactly 1 and adds 0 — the scalar loop's skip.
+    distinct += totals == 0
+    denoms = totals + distinct
+    # factors[:, i + 1] scales the weight after slot i; their running
+    # product weights[:, i] is the weight entering slot i, and
+    # weights[:, slots] the weight left for the uniform floor.
+    factors = np.ones((groups, slots + 1))
+    np.divide(distinct, denoms, out=factors[:, 1:])
+    weights = factors.cumprod(axis=1)
+    entering = weights[:, :slots]
+    if slots > 2 and weights[:, 1 : slots - 1].min() < _CUTOFF:
+        # Orders below the first one entered with weight < 1e-12 are
+        # skipped (the weight never grows, so the skipped slots are a
+        # run): they scale the weight by 1 and add nothing.
+        skipped = weights[:, 1 : slots - 1] < _CUTOFF
+        factors[:, 2:slots][skipped] = 1.0
+        weights = factors.cumprod(axis=1)
+        entering = weights[:, :slots]
+        entering[:, 1 : slots - 1][skipped] = 0.0
+    final = weights[:, slots]
+    terms = entering[:, :, None] * counts
+    terms /= denoms[:, :, None]
+    result = terms.cumsum(axis=1)[:, -1]
+    result += (np.maximum(final, floors) / vocab)[:, None]
+    result /= result.sum(axis=1)[:, None]
+    return result

@@ -1,11 +1,12 @@
 """Shared-prefix ingest-state cache: prefill once, fork forever after.
 
 Prompt ingest — :meth:`~repro.llm.interface.LanguageModel.reset` — is the
-substrate's analogue of LLM prefill: O(n · order) dictionary updates that
-are re-paid from scratch on every call even though ingest is deterministic
-and prompts repeat heavily in practice (every sample of an ensemble shares
-one prompt; rolling-origin backtest windows and dashboard refreshes extend
-each other).  Real serving stacks eliminate exactly this redundancy with
+substrate's analogue of LLM prefill: O(n · order) work (for PPM, a bulk
+array build of every order's contexts) that is re-paid from scratch on
+every call even though ingest is deterministic and prompts repeat heavily
+in practice (every sample of an ensemble shares one prompt;
+rolling-origin backtest windows and dashboard refreshes extend each
+other).  Real serving stacks eliminate exactly this redundancy with
 KV-cache / prefix reuse; this module is the in-context-model version.
 
 An :class:`IngestStateCache` maps ``(model preset, vocab size, prompt
@@ -13,10 +14,11 @@ tokens)`` to a *prefilled* :class:`~repro.llm.interface.LanguageModel`.
 Lookups resolve three ways:
 
 * **fork** — the exact prompt is cached: callers fork the stored state and
-  skip ingest entirely (O(state) instead of O(n · order) Python updates);
+  skip ingest entirely (a PPM fork shares the frozen table: O(1));
 * **extend** — a cached prompt is a strict *prefix* of the new one (the
   rolling-origin case): the stored state is forked and only the suffix is
-  advanced, turning O(n) prefill into O(Δ);
+  ingested (:meth:`~repro.llm.interface.LanguageModel.extend`), so the
+  per-token work covers Δ tokens instead of n;
 * **miss** — nothing usable is cached: the caller ingests in full and
   deposits the result for the next request.
 
@@ -218,11 +220,11 @@ class IngestStateCache:
         """Ingest ``tokens`` into a *fresh* ``model``, depositing checkpoints.
 
         The miss-path counterpart of :meth:`get`: the prompt is ingested in
-        full (bit-identical to ``model.reset(tokens)`` — incremental
-        ``advance`` after a prefix ``reset`` is the same contract the
-        extend path already relies on), but frozen snapshots are deposited
-        at :func:`checkpoint_lengths` boundaries along the way, plus the
-        full prompt.  A later query for any *shorter* prefix of this
+        full (bit-identical to ``model.reset(tokens)`` — ``extend`` after a
+        prefix ``reset`` is the same contract the extend path already
+        relies on), but frozen snapshots are deposited at
+        :func:`checkpoint_lengths` boundaries along the way, plus the full
+        prompt.  A later query for any *shorter* prefix of this
         prompt then resolves to the longest cached checkpoint at or below
         its length — previously such queries missed outright, because an
         end state cannot serve a shorter prefix.
@@ -239,16 +241,14 @@ class IngestStateCache:
             if cursor == 0:
                 model.reset(prompt[:boundary])
             else:
-                for token in prompt[cursor:boundary]:
-                    model.advance(token)
+                model.extend(prompt[cursor:boundary])
             cursor = boundary
-            self.put(model_name, vocab_size, prompt[:boundary], model.fork())
+            self._deposit(model_name, vocab_size, prompt[:boundary], model.fork())
         if cursor == 0:
             model.reset(prompt)
         else:
-            for token in prompt[cursor:]:
-                model.advance(token)
-        self.put(model_name, vocab_size, prompt, model)
+            model.extend(prompt[cursor:])
+        self._deposit(model_name, vocab_size, prompt, model)
         return model
 
     def put(
@@ -265,7 +265,12 @@ class IngestStateCache:
         spill tier attached, entries this deposit evicts are demoted to it
         (serialized outside the lock) instead of destroyed.
         """
-        prompt = tuple(int(t) for t in tokens)
+        self._deposit(model_name, vocab_size, tuple(int(t) for t in tokens), model)
+
+    def _deposit(
+        self, model_name: str, vocab_size: int, prompt: tuple, model: LanguageModel
+    ) -> None:
+        """:meth:`put` for a prompt already normalised to a tuple of ints."""
         if not self.enabled or len(prompt) > self.max_tokens:
             return
         key = self._key(model_name, vocab_size, prompt)

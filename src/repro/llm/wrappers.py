@@ -71,6 +71,23 @@ class ShiftBiasedLM(LanguageModel):
         """Delegate the observation to the wrapped model."""
         self.base.advance(token)
 
+    def extend(self, tokens: Sequence[int]) -> None:
+        """Delegate bulk ingest to the wrapped model."""
+        self.base.extend(tokens)
+
+    @classmethod
+    def advance_batch(
+        cls, models: Sequence["ShiftBiasedLM"], tokens: Sequence[int]
+    ) -> None:
+        """Advance the wrapped models through *their* class's batch path."""
+        base_cls = type(models[0].base)
+        if any(
+            type(m) is not ShiftBiasedLM or type(m.base) is not base_cls
+            for m in models
+        ):
+            return super().advance_batch(models, tokens)
+        base_cls.advance_batch([m.base for m in models], tokens)
+
     def next_distribution(self) -> np.ndarray:
         """The wrapped distribution with mass leaned one value step upward."""
         probs = self.base.next_distribution().copy()

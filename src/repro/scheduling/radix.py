@@ -30,6 +30,7 @@ must not advance a model after inserting it.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -49,7 +50,10 @@ class _Node:
     on exactly those ``depth`` tokens.  ``refs`` counts live pins.
     """
 
-    __slots__ = ("segment", "children", "model", "depth", "refs", "tick", "parent")
+    __slots__ = (
+        "segment", "children", "model", "depth", "refs", "tick", "_parent",
+        "__weakref__",
+    )
 
     def __init__(
         self, segment: tuple[int, ...], depth: int, parent: "_Node | None"
@@ -61,6 +65,17 @@ class _Node:
         self.refs = 0
         self.tick = 0
         self.parent = parent
+
+    @property
+    def parent(self) -> "_Node | None":
+        """The parent node.  The up-link is weak, so a dropped tree has no
+        reference cycles and its snapshots are freed at once rather than
+        at the next full garbage collection."""
+        return None if self._parent is None else self._parent()
+
+    @parent.setter
+    def parent(self, node: "_Node | None") -> None:
+        self._parent = None if node is None else weakref.ref(node)
 
 
 @dataclass
@@ -384,8 +399,7 @@ class RadixPrefillTree:
                 if cursor == 0:
                     model.reset(prompt[:boundary])
                 else:
-                    for token in prompt[cursor:boundary]:
-                        model.advance(token)
+                    model.extend(prompt[cursor:boundary])
                 cursor = boundary
                 deposit = model if boundary == len(prompt) else model.fork()
                 self.insert(model_name, vocab_size, prompt[:boundary], deposit)

@@ -20,8 +20,10 @@ substrate facts:
   next_distribution_batch` guarantees row *i* is bit-identical to
   ``models[i].next_distribution()``;
 * the deterministic filtering half of sampling
-  (:func:`~repro.llm.sampling.filter_distribution`) depends only on the
-  row and the request's own sampling knobs.
+  (:func:`~repro.llm.sampling.filter_rows`) depends only on the row,
+  the request's own sampling knobs and its own mask, and every step runs
+  through the same :func:`~repro.llm.batch.decode_step` as the
+  single-request decoder.
 
 The ``sched_equivalence`` fuzz family and ``tests/test_scheduling.py``
 pin this equivalence across random interleavings.
@@ -38,41 +40,13 @@ import numpy as np
 from repro.exceptions import GenerationError
 from repro.llm.constraints import Constraint
 from repro.llm.interface import GenerationResult, LanguageModel
-from repro.llm.sampling import filter_distribution, mask_for_ids
+from repro.llm.batch import _Group, _Stream, decode_step
+from repro.llm.sampling import mask_for_ids
 from repro.llm.simulated import SimulatedLLM
 from repro.observability.spans import NULL_TRACER
 from repro.scheduling.radix import RadixPrefillTree
 
 __all__ = ["ContinuousScheduler", "ScheduledDecode"]
-
-
-class _Stream:
-    """One in-flight sample stream: its identity, RNG, and token budget."""
-
-    __slots__ = ("index", "rng", "budget")
-
-    def __init__(self, index: int, rng: np.random.Generator, budget: int) -> None:
-        self.index = index
-        self.rng = rng
-        self.budget = budget
-
-
-class _Group:
-    """Streams of one request sharing a generated prefix (and one model)."""
-
-    __slots__ = ("model", "streams", "tokens", "log_probs")
-
-    def __init__(
-        self,
-        model: LanguageModel,
-        streams: list[_Stream],
-        tokens: list[int],
-        log_probs: list[float],
-    ) -> None:
-        self.model = model
-        self.streams = streams
-        self.tokens = tokens
-        self.log_probs = log_probs
 
 
 class ScheduledDecode:
@@ -463,44 +437,38 @@ class ContinuousScheduler:
                 )
                 for row, index in enumerate(indices):
                     rows[index] = matrix[row]
-            next_groups: dict[int, list[_Group]] = {id(job): [] for job in live_jobs}
+            # Sample and advance through one decode_step per sampling
+            # set-up — model class, vocabulary, knobs, masked or not —
+            # which is normally a single call for the whole step, each job
+            # masking its own rows.
+            owners: dict[int, _Job] = {}
+            setups: dict[tuple, list[tuple[int, np.ndarray | None]]] = {}
             for index, (job, group) in enumerate(pairs):
-                p, greedy = filter_distribution(
-                    rows[index],
-                    temperature=job.temperature,
-                    top_k=job.top_k,
-                    top_p=job.top_p,
-                    allowed_mask=job.mask_at(job.position),
-                )
-                size = p.size
-                buckets: dict[int, list[_Stream]] = {}
-                drawn: dict[int, float] = {}
                 for stream in group.streams:
-                    if greedy:
-                        token = int(np.argmax(p))
-                    else:
-                        token = int(stream.rng.choice(size, p=p))
-                    members = buckets.get(token)
-                    if members is None:
-                        buckets[token] = [stream]
-                        drawn[token] = float(p[token])
-                    else:
-                        members.append(stream)
-                items = list(buckets.items())
-                forks = [group.model] + [group.model.fork() for _ in items[1:]]
-                for (token, members), model in zip(items, forks):
-                    model.advance(token)
-                    next_groups[id(job)].append(
-                        _Group(
-                            model=model,
-                            streams=members,
-                            tokens=group.tokens + [token],
-                            log_probs=group.log_probs
-                            + [float(np.log(max(drawn[token], 1e-300)))],
-                        )
-                    )
+                    owners[id(stream)] = job
+                mask = job.mask_at(job.position)
+                setups.setdefault(
+                    (type(group.model), job.vocab_size, job.temperature,
+                     job.top_k, job.top_p, mask is None),
+                    [],
+                ).append((index, mask))
             for job in live_jobs:
-                job.groups = next_groups[id(job)]
+                job.groups = []
+            for (_, _, temperature, top_k, top_p, unmasked), members in setups.items():
+                indices = [index for index, _ in members]
+                next_groups = decode_step(
+                    [pairs[index][1] for index in indices],
+                    np.stack([rows[index] for index in indices]),
+                    temperature=temperature,
+                    top_k=top_k,
+                    top_p=top_p,
+                    allowed_mask=(
+                        None if unmasked else np.stack([mask for _, mask in members])
+                    ),
+                )
+                for group in next_groups:
+                    owners[id(group.streams[0])].groups.append(group)
+            for job in live_jobs:
                 job.position += 1
         self._steps += 1
         if self._metrics is not None:

@@ -7,8 +7,10 @@ request must produce byte-for-byte the engine's direct answer.
 """
 
 import asyncio
+import gc
 import json
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +197,29 @@ def test_quota_exhaustion_raises_typed_error_not_hang():
     assert error.tenant == "greedy"
     assert error.retry_after > 0
     assert elapsed < 1.0  # rejected at the door, never queued
+
+
+def test_completed_handles_are_not_retained():
+    """The gateway keeps only pending handles: finished ones are freed."""
+
+    async def run():
+        async with ForecastGateway() as gateway:
+            refs = []
+            for seed in range(6):
+                handle = await gateway.submit(_spec(seed=seed))
+                response = await gateway.result(handle)
+                assert response.ok
+                refs.append(weakref.ref(handle))
+                refs.append(weakref.ref(response))
+                del handle, response
+            await asyncio.sleep(0)  # let the done callbacks run
+            pending = len(gateway._pending)
+            gc.collect()
+            return pending, [ref() is None for ref in refs]
+
+    pending, collected = asyncio.run(run())
+    assert pending == 0
+    assert all(collected)
 
 
 def test_closed_gateway_rejects_submissions():
