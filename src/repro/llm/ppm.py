@@ -129,9 +129,10 @@ class _Overlay:
     next step over the same models reuses that array as is.
     """
 
-    __slots__ = ("rows", "ids", "owner", "used", "tags", "lock", "batch")
+    __slots__ = ("vocab", "rows", "ids", "owner", "used", "tags", "lock", "batch")
 
-    def __init__(self) -> None:
+    def __init__(self, vocab_size: int) -> None:
+        self.vocab = vocab_size
         self.rows: np.ndarray | None = None
         self.ids: np.ndarray | None = None
         self.owner: np.ndarray | None = None
@@ -145,13 +146,13 @@ class _Overlay:
         self.tags += 1
         return self.tags
 
-    def allocate(self, count: int, vocab_size: int) -> int:
+    def allocate(self, count: int) -> int:
         """Reserve ``count`` rows (caller holds the lock); return the first."""
         start = self.used
         end = start + count
         if self.rows is None or end > self.rows.shape[0]:
             size = max(2 * end, 64)
-            rows = _blank_rows(size, vocab_size)
+            rows = _blank_rows(size, self.vocab)
             ids = np.full(size, -1, dtype=np.int64)
             owner = np.zeros(size, dtype=np.int64)
             if self.rows is not None:
@@ -167,10 +168,10 @@ class _Overlay:
         return np.flatnonzero(self.owner[: self.used] == tag)
 
     def __getstate__(self):
-        return self.rows, self.ids, self.owner, self.used, self.tags
+        return self.vocab, self.rows, self.ids, self.owner, self.used, self.tags
 
     def __setstate__(self, state) -> None:
-        self.rows, self.ids, self.owner, self.used, self.tags = state
+        self.vocab, self.rows, self.ids, self.owner, self.used, self.tags = state
         self.lock = threading.Lock()
         self.batch = None
 
@@ -369,7 +370,7 @@ class PPMLanguageModel(LanguageModel):
             vocab = self.vocab_size
             with overlay.lock:
                 own = overlay.owned(self._tag)
-                start = overlay.allocate(own.size, vocab)
+                start = overlay.allocate(own.size)
                 block = overlay.rows[own]
                 links = block[:, vocab:]
                 private = links < -1
@@ -453,29 +454,50 @@ class PPMLanguageModel(LanguageModel):
         return _cascade(counts, np.array([model.uniform_floor for model in models]))
 
 
+#: A store takes no newly advancing models once it holds this many rows,
+#: so the rows of finished decodes are freed with their store.
+_JOIN_ROWS = 1 << 16
+
+
 def _advance_together(
     models: Sequence[PPMLanguageModel], tokens: Sequence[int]
 ) -> None:
     """Advance PPM ``models`` by ``tokens`` (already validated).
 
     Models still exactly their table (a prefilled state's fresh forks) get
-    overlay storage here, one store shared by all of them: that is how
-    the groups of one decode come to share it.  Stores are never attached
-    at fork time, so a frozen cached state never holds one.
+    overlay storage here: the emptiest store already in the batch with
+    room and the same vocabulary — so the groups of one decode, and the
+    requests of a continuous scheduler, come to share one — or a new one.
+    Stores are never attached at fork time, so a frozen cached state never
+    holds one.
     """
     first = models[0]
     if first._overlay is not None and all(
-        model._overlay is first._overlay and model._table is first._table
+        model._overlay is first._overlay and model.max_order == first.max_order
         for model in models
     ):
         batches = [(list(models), [int(token) for token in tokens])]
     else:
-        fresh = None
+        joinable = [
+            model._overlay
+            for model in models
+            if model._overlay is not None
+            and model._overlay.vocab == model.vocab_size
+            and model._overlay.used < _JOIN_ROWS
+        ]
         grouped: dict[tuple[int, int], tuple[list, list]] = {}
         for model, token in zip(models, tokens):
             if model._overlay is None:
-                fresh = model._overlay = fresh or _Overlay()
-            key = (id(model._overlay), id(model._table))
+                home = min(
+                    (store for store in joinable if store.vocab == model.vocab_size),
+                    key=lambda store: store.used,
+                    default=None,
+                )
+                if home is None:
+                    home = _Overlay(model.vocab_size)
+                    joinable.append(home)
+                model._overlay = home
+            key = (id(model._overlay), model.max_order)
             members, steps = grouped.setdefault(key, ([], []))
             members.append(model)
             steps.append(int(token))
@@ -510,7 +532,7 @@ def _open(model: PPMLanguageModel, overlay: _Overlay) -> None:
         tri[j + 1, 1 : j + 2] = table[tri[j, : j + 1], vocab + token]
     valid = tri >= 0
     ids, inverse = np.unique(tri[valid], return_inverse=True)
-    start = overlay.allocate(ids.size, vocab)
+    start = overlay.allocate(ids.size)
     end = start + ids.size
     overlay.rows[start:end] = table[ids]
     overlay.ids[start:end] = ids
@@ -530,19 +552,18 @@ def _open(model: PPMLanguageModel, overlay: _Overlay) -> None:
 def _advance_shared(
     overlay: _Overlay, models: list[PPMLanguageModel], steps: list[int]
 ) -> None:
-    """Advance opened models sharing ``overlay`` and one table (lock held).
+    """Advance opened models sharing ``overlay`` and one order (lock held).
 
     Every current context row is private to its model, so the count
     updates of the whole batch are one scatter and the next contexts one
     gather through the links.  Links still holding a table id (or -1, a
     context never seen) get a freshly allocated private row — a copy of
-    the table row, or blank — and are rewritten to it.
+    the model's table row, or blank — and are rewritten to it.
     """
     first = models[0]
     vocab = first.vocab_size
     width = 2 * vocab
     order = first.max_order
-    table = first._table
     tokens = np.array(steps, dtype=np.intp)
     tags = tuple(model._tag for model in models)
     last = overlay.batch
@@ -573,15 +594,26 @@ def _advance_shared(
         need &= alive
     count = int(np.count_nonzero(need))
     if count:
-        start = overlay.allocate(count, vocab)
+        start = overlay.allocate(count)
         end = start + count
         fresh = np.arange(start, end)
         nxt[:, :order][need] = fresh
         sources = kids[need]
         overlay.ids[start:end] = sources
-        overlay.owner[start:end] = np.array(tags).repeat(need.sum(axis=1))
+        per_model = need.sum(axis=1)
+        overlay.owner[start:end] = np.array(tags).repeat(per_model)
         # -1 (a context the table never saw) wraps to the blank sentinel.
-        overlay.rows[start:end] = table.take(sources, axis=0, mode="wrap")
+        tables = {id(model._table): model._table for model in models}
+        if len(tables) == 1:
+            overlay.rows[start:end] = first._table.take(sources, axis=0, mode="wrap")
+        else:
+            table_of = [id(model._table) for model in models]
+            row_tables = np.array(table_of).repeat(per_model)
+            for key, table in tables.items():
+                picked = row_tables == key
+                overlay.rows[fresh[picked]] = table.take(
+                    sources[picked], axis=0, mode="wrap"
+                )
         overlay.rows.reshape(-1)[links[need]] = -2 - fresh
     for model, row, token in zip(models, nxt, steps):
         model._rows = row

@@ -135,6 +135,29 @@ class TestAgainstReference:
         _assert_same(kernel, reference)  # the parent is untouched
 
 
+def test_one_batch_over_states_of_different_prompts():
+    """The continuous scheduler advances requests with different prompts
+    (different tables) in one call; each must follow its own oracle."""
+    rng = np.random.default_rng(9)
+    kernels, references = [], []
+    for _ in range(3):
+        kernel, reference = _pair(11, 12, _stream(rng, 11, int(rng.integers(20, 200))))
+        kernels += [kernel.fork(), kernel.fork()]
+        references += [reference.fork(), reference.fork()]
+    for step in range(25):
+        if step == 10:  # a late arrival joins the running batch
+            kernel, reference = _pair(11, 12, _stream(rng, 11, 90))
+            kernels.append(kernel.fork())
+            references.append(reference.fork())
+        matrix = PPMLanguageModel.next_distribution_batch(kernels)
+        for row, oracle in zip(matrix, references):
+            assert np.array_equal(row, oracle.next_distribution())
+        tokens = rng.integers(0, 11, size=len(kernels)).tolist()
+        PPMLanguageModel.advance_batch(kernels, tokens)
+        for oracle, token in zip(references, tokens):
+            oracle.advance(token)
+
+
 def test_pickled_and_deep_copied_states_round_trip():
     rng = np.random.default_rng(7)
     kernel, reference = _pair(11, 12, _stream(rng, 11, 200))
