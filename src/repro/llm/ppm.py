@@ -70,6 +70,9 @@ __all__ = ["PPMLanguageModel"]
 #: below this (order 0 and the uniform floor still apply).
 _CUTOFF = 1e-12
 
+#: ``sequence_nll`` scores runs in chunks of this many tokens.
+_NLL_CHUNK = 4096
+
 
 def _blank_rows(count: int, vocab_size: int) -> np.ndarray:
     """``count`` context rows with no counts and no transitions."""
@@ -108,16 +111,17 @@ def _intern(keys: np.ndarray, next_id: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Overlay:
-    """Decode-time rows shared by the forks of one decode.
+    """Decode-time rows of the models advanced together: the forks of one
+    decode, or the requests a continuous scheduler steps at once.
 
     A row is a private copy of one context's table row, owned by exactly
     one model (``owner`` holds the model's tag, handed out by
     :meth:`new_tag`; ``ids`` the context's table id, or -1 for a context
-    the table never saw).  In overlay rows the
-    transition columns are *links*: ``>= 0`` is still a table id, ``-1``
-    no context, and ``-2 - r`` the owner's private row ``r``.  A context
-    is privatised through its parent's link (its only way in), so after
-    that every visit resolves it without a lookup table.
+    the table never saw).  In overlay rows the transition columns are
+    *links*: ``>= 0`` is still a table id, ``-1`` no context, and
+    ``-2 - r`` the owner's private row ``r``.  A context is privatised
+    through its parent's link (its only way in), so after that every
+    visit resolves it without a lookup table.
 
     :meth:`PPMLanguageModel.fork` copies the parent's rows into fresh ones
     for the child, so models never see each other's writes; sharing the
@@ -299,9 +303,13 @@ class PPMLanguageModel(LanguageModel):
         table through one unbuffered :func:`numpy.add.at`.
         """
         x = np.asarray(tokens, dtype=np.int64).reshape(-1)
+        if x.size:
+            self._extend(x)
+
+    def _extend(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`extend` by the non-empty int64 run ``x``; returns the run's
+        context ids ``ctx`` and the table they index before the run."""
         length = x.size
-        if length == 0:
-            return
         vocab = self.vocab_size
         if x.min() < 0 or x.max() >= vocab:
             self._check_token(int(x[(x < 0) | (x >= vocab)][0]))
@@ -346,6 +354,67 @@ class PPMLanguageModel(LanguageModel):
         depth = min(order, total)
         tail = (self._tail() + tuple(x[-order:].tolist())) if order else ()
         self._load(table, total, ctx[depth::-1, length], tail[-order:] if order else ())
+        return ctx, old
+
+    def sequence_nll(
+        self, tokens: Sequence[int], context: Sequence[int] = ()
+    ) -> np.ndarray:
+        """Per-token negative log-likelihood of ``tokens`` after ``context``.
+
+        Equal to the base class's advance-and-score loop, in bulk: the run
+        is ingested with :meth:`extend`, and the counts each position saw
+        are rebuilt from the table before the run plus, per context, the
+        continuations it had earlier in the run (a running sum over that
+        context's occurrences).  One cascade then scores every position.
+        Runs are taken in chunks to bound memory.  Subclasses keep the
+        base loop (they may override scoring).
+        """
+        if type(self) is not PPMLanguageModel:
+            return super().sequence_nll(tokens, context)
+        self.reset(context)
+        x = np.asarray(tokens, dtype=np.int64).reshape(-1)
+        nll = np.empty(x.size, dtype=float)
+        for start in range(0, x.size, _NLL_CHUNK):
+            run = x[start : start + _NLL_CHUNK]
+            ctx, old = self._extend(run)
+            probs = self._run_distributions(ctx[:, :-1], old, run)
+            nll[start : start + run.size] = -np.log(
+                np.maximum(probs[np.arange(run.size), run], 1e-300)
+            )
+        return nll
+
+    def _run_distributions(
+        self, ctx: np.ndarray, old: np.ndarray, run: np.ndarray
+    ) -> np.ndarray:
+        """Next-token distributions at every position of a just-ingested
+        ``run``: ``ctx[k, j]`` is the order-``k`` context id before token
+        ``j`` (-1 if shorter) and ``old`` the table before the run."""
+        vocab = self.vocab_size
+        order = self.max_order
+        length = run.size
+        known = old.shape[0] - 1
+        seen = ctx >= 0
+        ids = ctx[seen]
+        # Entries ordered by context, each context's in run order (a
+        # context has one order, so its entries are already ascending).
+        by_context = ids.argsort(kind="stable")
+        ranked = ids[by_context]
+        steps = np.broadcast_to(run, ctx.shape)[seen][by_context]
+        hits = np.zeros((ids.size + 1, vocab), dtype=np.int64)
+        hits[np.arange(1, ids.size + 1), steps] = 1
+        hits = hits.cumsum(axis=0)
+        first = np.empty(ids.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        starts = np.maximum.accumulate(np.where(first, np.arange(ids.size), 0))
+        earlier = np.empty((ids.size, vocab), dtype=np.int64)
+        earlier[by_context] = hits[:-1] - hits[starts]
+        base = old[np.where(ids < known, ids, known), :vocab]
+        counts = np.zeros((length, order + 1, vocab), dtype=np.int64)
+        orders, positions = np.nonzero(seen)
+        counts[positions, order - orders] = base + earlier
+        floors = np.full(length, self.uniform_floor)
+        return _cascade(counts, floors)
 
     def fork(self) -> "PPMLanguageModel":
         """Copy-on-write fork: share the frozen table, copy the overlay.

@@ -135,6 +135,18 @@ class TestAgainstReference:
         _assert_same(kernel, reference)  # the parent is untouched
 
 
+def test_sequence_nll_across_chunk_boundaries():
+    rng = np.random.default_rng(10)
+    context = _stream(rng, 11, 50)
+    tokens = _stream(rng, 11, 4500)  # longer than one scoring chunk
+    kernel = PPMLanguageModel(11, max_order=12)
+    reference = ReferencePPM(11, max_order=12)
+    assert np.array_equal(
+        kernel.sequence_nll(tokens, context), reference.sequence_nll(tokens, context)
+    )
+    _assert_same(kernel, reference)  # both end after the whole run
+
+
 def test_one_batch_over_states_of_different_prompts():
     """The continuous scheduler advances requests with different prompts
     (different tables) in one call; each must follow its own oracle."""
