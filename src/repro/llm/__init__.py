@@ -24,16 +24,19 @@ KV-cache prefix reuse.
 """
 
 from repro.llm.interface import GenerationResult, LanguageModel
-from repro.llm.batch import BatchedDecoder
+from repro.llm.batch import BatchedDecoder, decode_step
 from repro.llm.constraints import (
     Constraint,
     PeriodicPatternConstraint,
     SetConstraint,
 )
 from repro.llm.sampling import (
+    cdf_rows,
     child_generators,
     child_seeds,
+    draw_token,
     filter_distribution,
+    filter_rows,
     mask_for_ids,
     sample_from_distribution,
 )
@@ -62,8 +65,12 @@ __all__ = [
     "PeriodicPatternConstraint",
     "sample_from_distribution",
     "filter_distribution",
+    "filter_rows",
+    "cdf_rows",
+    "draw_token",
     "mask_for_ids",
     "BatchedDecoder",
+    "decode_step",
     "child_seeds",
     "child_generators",
     "PPMLanguageModel",
