@@ -51,10 +51,10 @@ class _DecayedCell:
 class _DecayedCounts:
     """Decayed cells for one context order: suffix-tuple -> token -> cell.
 
-    Cloning is copy-on-write, mirroring the plain PPM tables: a clone
-    shares the parent's per-suffix cell dicts and privatises one (cloning
-    its handful of cells) only when it is first written afterwards, so
-    forking is a single shallow dict copy per order.  ``_owned`` is
+    Cloning is copy-on-write: a clone shares the parent's per-suffix cell
+    dicts and privatises one (cloning its handful of cells) only when it
+    is first written afterwards, so forking is a single shallow dict copy
+    per order.  ``_owned`` is
     ``None`` until the first clone and afterwards holds the suffixes whose
     cell dicts this instance owns.
     """
