@@ -467,9 +467,12 @@ class PPMLanguageModel(LanguageModel):
         Models whose overlays share storage (the forks of one decode) are
         advanced together — one scatter for every count update, one gather
         for every next context — and the result equals per-model
-        :meth:`advance` calls.  Subclasses fall back to those calls.
+        :meth:`advance` calls.  Subclasses, and a batch naming one model
+        twice, fall back to those calls.
         """
-        if any(type(model) is not PPMLanguageModel for model in models):
+        if len({id(model) for model in models}) != len(models) or any(
+            type(model) is not PPMLanguageModel for model in models
+        ):
             return super().advance_batch(models, tokens)
         for model, token in zip(models, tokens):
             model._check_token(token)

@@ -170,6 +170,14 @@ def test_one_batch_over_states_of_different_prompts():
             oracle.advance(token)
 
 
+def test_advance_batch_naming_a_model_twice_advances_it_twice():
+    kernel, reference = _pair(11, 3, [1, 2, 3, 1, 2, 3])
+    PPMLanguageModel.advance_batch([kernel, kernel], [4, 5])
+    reference.advance(4)
+    reference.advance(5)
+    _assert_same(kernel, reference)
+
+
 def test_pickled_and_deep_copied_states_round_trip():
     rng = np.random.default_rng(7)
     kernel, reference = _pair(11, 12, _stream(rng, 11, 200))
