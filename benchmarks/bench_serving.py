@@ -1,21 +1,23 @@
-"""Serving-layer benches: pooled throughput and cache warm-up.
+"""Serving-layer benches: concurrent throughput and cache warm-up.
 
-The substrate's in-context models are so fast on CPU that thread pooling
-alone cannot show the serving engine's value (Python threads share one
-interpreter).  The ``hosted-api-sim`` preset registered here flips on
-``ModelSpec.realtime_scale``, so every draw sleeps in proportion to its
-simulated token latency — exactly the profile of a remote inference API,
-where the client thread idles while the provider decodes.  Against that
-backend the engine's fan-out overlaps the waits and the content-addressed
-cache removes them entirely.
+The substrate's in-context models are so fast on CPU that request
+concurrency alone cannot show the serving engine's value (Python threads
+share one interpreter).  The ``hosted-api-sim`` preset registered here
+flips on ``ModelSpec.realtime_scale``, so every prefill and batched decode
+sleeps in proportion to its simulated token latency — exactly the profile
+of a remote inference API, where the client thread idles while the
+provider decodes.  Against that backend the engine's concurrent requests
+overlap the waits and the content-addressed cache removes them entirely.
+The baseline is a plain loop of ``MultiCastForecaster.forecast(spec)``
+calls over the same requests.
 
 Run standalone to (re)generate ``BENCH_serving.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_serving.py
 
 or through pytest (``pytest benchmarks/bench_serving.py``), where the
-acceptance thresholds — >=2x pooled throughput, >=10x warm-cache speedup —
-are asserted.
+acceptance thresholds — >=2x concurrent throughput over the loop, >=10x
+warm-cache speedup — are asserted.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
 NUM_REQUESTS = 4
 NUM_SAMPLES = 4
-NUM_WORKERS = 4
+CONCURRENCY = 4  # engine requests in flight at once
 HORIZON = 8
 
 
@@ -71,42 +73,39 @@ def _requests(model: str, use_cache: bool) -> list[ForecastRequest]:
 
 
 def measure_throughput() -> dict:
-    """Sequential forecaster vs engine fan-out on the same request batch."""
+    """A loop of forecaster calls vs the engine on the same request batch."""
     model = _register_hosted_backend()
 
     start = time.perf_counter()
     for request in _requests(model, use_cache=False):
         MultiCastForecaster().forecast(
             ForecastSpec.from_config(
-                request.config, series=request.history, horizon=request.horizon,
-                execution="sequential",  # the baseline the engine fans out
+                request.config, series=request.history, horizon=request.horizon
             )
         )
-    sequential = time.perf_counter() - start
+    loop = time.perf_counter() - start
 
-    with ForecastEngine(
-        num_workers=NUM_WORKERS, max_concurrent_requests=2
-    ) as engine:
+    with ForecastEngine(max_concurrent_requests=CONCURRENCY) as engine:
         start = time.perf_counter()
         responses = engine.forecast_batch(_requests(model, use_cache=False))
-        pooled = time.perf_counter() - start
+        concurrent = time.perf_counter() - start
     assert all(response.ok for response in responses)
 
     return {
         "num_requests": NUM_REQUESTS,
         "num_samples": NUM_SAMPLES,
-        "num_workers": NUM_WORKERS,
+        "concurrency": CONCURRENCY,
         "horizon": HORIZON,
-        "sequential_seconds": sequential,
-        "pooled_seconds": pooled,
-        "throughput_speedup": sequential / pooled,
+        "loop_seconds": loop,
+        "engine_seconds": concurrent,
+        "throughput_speedup": loop / concurrent,
     }
 
 
 def measure_cache() -> dict:
     """Cold miss vs warm hit for an identical request."""
     model = _register_hosted_backend()
-    with ForecastEngine(num_workers=NUM_WORKERS) as engine:
+    with ForecastEngine() as engine:
         request = _requests(model, use_cache=True)[0]
 
         start = time.perf_counter()
@@ -135,8 +134,8 @@ def test_serving_bench(emit):
     report = run()
     throughput, cache = report["throughput"], report["cache"]
     lines = [
-        f"sequential     {throughput['sequential_seconds']:8.3f} s",
-        f"pooled (x{NUM_WORKERS})     {throughput['pooled_seconds']:8.3f} s"
+        f"forecast loop  {throughput['loop_seconds']:8.3f} s",
+        f"engine (x{CONCURRENCY})     {throughput['engine_seconds']:8.3f} s"
         f"   speedup {throughput['throughput_speedup']:5.2f}x",
         f"cold cache     {cache['cold_seconds']:8.3f} s",
         f"warm cache     {cache['warm_seconds']:8.3f} s"

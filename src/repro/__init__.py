@@ -46,7 +46,7 @@ from repro.serving import ForecastEngine, ForecastRequest, ForecastResponse
 from repro.strategies import PromptStrategy
 from repro.sweeps import SweepReport, SweepRunner, SweepSpec
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ForecastSpec",

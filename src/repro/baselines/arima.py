@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from repro.core.estimator import BaseEstimator, positional_shim
+from repro.core.estimator import BaseEstimator
 from repro.exceptions import FittingError
 
 __all__ = ["ARIMA", "auto_arima", "difference", "undifference", "kpss_statistic"]
@@ -140,7 +140,7 @@ class ARIMA(BaseEstimator):
     ----------
     order:
         The classical ``(p, d, q)`` triple (keyword-only under the
-        Estimator API; legacy positional calls warn).
+        Estimator API).
 
     Call :meth:`fit` with a 1-D history, then :meth:`forecast` for point
     forecasts at any horizon.  After fitting, :attr:`aic` exposes the model
@@ -149,7 +149,6 @@ class ARIMA(BaseEstimator):
 
     _TEST_PARAMS = ({"order": (1, 0, 0)},)
 
-    @positional_shim("order")
     def __init__(self, *, order: tuple[int, int, int] = (2, 0, 1)) -> None:
         p, d, q = order
         if min(p, d, q) < 0:

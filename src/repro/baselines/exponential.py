@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from repro.core.estimator import BaseEstimator, positional_shim
+from repro.core.estimator import BaseEstimator
 from repro.decomposition.period import estimate_period
 from repro.exceptions import FittingError
 
@@ -58,7 +58,6 @@ class SimpleExponentialSmoothing(BaseEstimator):
 
     _TEST_PARAMS = ({}, {"alpha": 0.5})
 
-    @positional_shim("alpha")
     def __init__(self, *, alpha: float | None = None) -> None:
         if alpha is not None and not 0.0 < alpha <= 1.0:
             raise FittingError(f"alpha must be in (0, 1], got {alpha}")
@@ -120,7 +119,6 @@ class HoltLinear(BaseEstimator):
 
     _TEST_PARAMS = ({}, {"damping": 0.9})
 
-    @positional_shim("damping")
     def __init__(self, *, damping: float = 1.0) -> None:
         if not 0.0 < damping <= 1.0:
             raise FittingError(f"damping must be in (0, 1], got {damping}")
@@ -184,7 +182,6 @@ class HoltWinters(BaseEstimator):
 
     _TEST_PARAMS = ({"period": 4},)
 
-    @positional_shim("period")
     def __init__(self, *, period: int) -> None:
         if period < 2:
             raise FittingError(f"period must be >= 2, got {period}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.lstm import AdamOptimizer, _clip_gradients, _sigmoid
-from repro.core.estimator import BaseEstimator, positional_shim
+from repro.core.estimator import BaseEstimator
 from repro.exceptions import FittingError
 from repro.scaling import MinMaxScaler, MultivariateScaler
 
@@ -134,16 +134,13 @@ class GRUForecaster(BaseEstimator):
 
     Same protocol as :class:`~repro.baselines.lstm.LSTMForecaster`; see
     that class for parameter semantics.  All parameters are keyword-only
-    under the Estimator API; legacy positional calls warn.
+    under the Estimator API.
     """
 
     _TEST_PARAMS = (
         {"window": 3, "hidden_size": 4, "epochs": 1, "batch_size": 8},
     )
 
-    @positional_shim(
-        "window", "hidden_size", "epochs", "learning_rate", "batch_size", "seed"
-    )
     def __init__(
         self,
         *,

@@ -12,13 +12,12 @@ the paper's accuracy and timing comparisons apples-to-apples.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.aggregation import AGGREGATION_METHODS, aggregate_samples
-from repro.core.estimator import BaseEstimator, positional_shim
+from repro.core.estimator import BaseEstimator
 from repro.core.output import ForecastOutput
 from repro.encoding import (
     SEPARATOR,
@@ -74,10 +73,8 @@ def _truncate_to_group_boundary(ids: list[int], limit: int, separator_id: int) -
 class LLMTime(BaseEstimator):
     """Univariate zero-shot forecaster, applied per dimension for 2-D input.
 
-    The canonical constructor takes the configuration fields as flat
-    keywords (the Estimator API); the legacy ``LLMTime(config)`` /
-    ``LLMTime(config=...)`` spellings keep working for one release behind
-    a :class:`DeprecationWarning`.
+    The constructor takes the configuration fields as flat keywords (the
+    Estimator API); unset fields take the :class:`LLMTimeConfig` defaults.
     """
 
     _PARAMS = (
@@ -90,7 +87,6 @@ class LLMTime(BaseEstimator):
     )
     _TEST_PARAMS = ({"num_samples": 1, "model": "uniform-sim"},)
 
-    @positional_shim("config")
     def __init__(
         self,
         *,
@@ -100,7 +96,6 @@ class LLMTime(BaseEstimator):
         aggregation: str | None = None,
         max_context_tokens: int | None = None,
         seed: int | None = None,
-        config: LLMTimeConfig | None = None,
     ) -> None:
         fields = {
             "num_digits": num_digits,
@@ -110,23 +105,9 @@ class LLMTime(BaseEstimator):
             "max_context_tokens": max_context_tokens,
             "seed": seed,
         }
-        explicit = {k: v for k, v in fields.items() if v is not None}
-        if config is not None:
-            if explicit:
-                raise ConfigError(
-                    "LLMTime() got both config= and flat keyword fields "
-                    f"{sorted(explicit)}; pass one or the other"
-                )
-            warnings.warn(
-                "the config= argument of LLMTime() is deprecated under the "
-                "Estimator API; pass the configuration fields as flat "
-                "keywords (LLMTime(num_digits=..., num_samples=..., ...))",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            self.config = config
-        else:
-            self.config = LLMTimeConfig(**explicit)
+        self.config = LLMTimeConfig(
+            **{k: v for k, v in fields.items() if v is not None}
+        )
         for name in self._PARAMS:
             setattr(self, name, getattr(self.config, name))
         self._history: np.ndarray | None = None

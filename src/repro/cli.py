@@ -7,7 +7,7 @@ Usage (installed as ``repro-multicast``, or ``python -m repro.cli``)::
     repro-multicast forecast --csv mydata.csv --horizon 24 --output fcst.csv
     repro-multicast forecast --dataset gas_rate --trace
     repro-multicast evaluate --dataset weather --methods multicast-di arima
-    repro-multicast batch --manifest jobs.json --workers 8 --metrics-out m.json
+    repro-multicast batch --manifest jobs.json --metrics-out m.json
     repro-multicast batch --manifest jobs.json --ledger runs.jsonl --trace
     repro-multicast batch --manifest jobs.json --execution continuous \
         --max-resident-streams 32
@@ -38,7 +38,6 @@ from repro.core import (
     MultiCastConfig,
     MultiCastForecaster,
     SaxConfig,
-    canonicalize_sampling_options,
 )
 from repro.data import (
     Dataset,
@@ -113,33 +112,14 @@ def _ensure_writable(path: str | None, flag: str) -> None:
         raise ReproError(f"{flag} path is a directory: {path}")
 
 
-def _add_samples_argument(parser: argparse.ArgumentParser) -> None:
-    """Add the canonical ``--num-samples`` flag plus its deprecated alias."""
+def _add_samples_argument(
+    parser: argparse.ArgumentParser, default: int = 5
+) -> None:
+    """Add the ``--num-samples`` flag."""
     parser.add_argument(
-        "--num-samples", dest="num_samples", type=int, default=None,
-        help="continuations sampled per forecast (default 5)",
+        "--num-samples", type=int, default=default,
+        help=f"continuations sampled per forecast (default {default})",
     )
-    parser.add_argument(
-        "--samples", dest="samples_legacy", type=int, default=None,
-        help="deprecated alias of --num-samples",
-    )
-
-
-def _resolve_samples(args, default: int = 5) -> int:
-    """The sample count from ``--num-samples``/``--samples`` (warned alias).
-
-    Alias handling lives in :func:`canonicalize_sampling_options` — the
-    CLI only collects the flags and lets the spec layer warn/reject.
-    """
-    options = {}
-    if args.num_samples is not None:
-        options["num_samples"] = args.num_samples
-    if args.samples_legacy is not None:
-        options["samples"] = args.samples_legacy
-    resolved = canonicalize_sampling_options(
-        options, context="the repro-multicast CLI"
-    )
-    return resolved.get("num_samples", default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_samples_argument(backtest)
     backtest.add_argument("--seed", type=int, default=0)
     backtest.add_argument("--workers", type=int, default=0,
-                          help="serve windows through an engine with this "
-                               "many sample workers (0 = sequential)")
+                          help="serve windows through an engine running "
+                               "this many requests at once (0 = no engine)")
     backtest.add_argument(
         "--execution", choices=EXECUTION_MODES, default="batched",
         help="ensemble decoding for MultiCast windows (bit-identical outputs)",
@@ -243,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--manifest", required=True,
                        help="JSON manifest of forecast jobs (see docs/API.md)")
-    batch.add_argument("--workers", type=int, default=4,
-                       help="sample-draw worker threads")
     batch.add_argument("--request-concurrency", type=int, default=2,
                        help="requests in flight at once")
     batch.add_argument("--execution", choices=EXECUTION_MODES, default=None,
@@ -277,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--manifest", required=True,
                        help="JSON manifest of forecast jobs (see docs/API.md)")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="sample-draw worker threads")
     serve.add_argument("--shards", type=int, default=0,
                        help="decode worker *processes*: 0 serves in-process, "
                             "N >= 1 stands up a ShardedEngine with N shards "
@@ -328,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--seed", type=int, default=0)
     loadtest.add_argument("--model", default="uniform-sim",
                           help="backend model for the workload")
-    _add_samples_argument(loadtest)
+    _add_samples_argument(loadtest, default=2)
     loadtest.add_argument("--horizon", type=int, default=3)
     loadtest.add_argument("--deadline", type=float, default=None,
                           help="per-request deadline in seconds")
@@ -432,7 +408,7 @@ def _command_forecast(args) -> int:
         horizon=horizon,
         scheme=args.scheme,
         num_digits=args.digits,
-        num_samples=_resolve_samples(args),
+        num_samples=args.num_samples,
         model=args.model,
         sax=sax,
         seed=args.seed,
@@ -484,7 +460,7 @@ def _command_forecast(args) -> int:
 
 def _command_evaluate(args) -> int:
     dataset = _DATASETS[args.dataset]()
-    num_samples = _resolve_samples(args)
+    num_samples = args.num_samples
     rows = []
     for method in args.methods:
         options = {}
@@ -506,7 +482,7 @@ def _command_evaluate(args) -> int:
 
 def _command_table(args) -> int:
     functions = _table_functions()
-    num_samples = _resolve_samples(args)
+    num_samples = args.num_samples
     names = sorted(functions) if args.which == "all" else [args.which]
     for name in names:
         function = functions[name]
@@ -520,7 +496,7 @@ def _command_table(args) -> int:
 
 def _command_figure(args) -> int:
     _ensure_writable(args.csv_out, "--csv-out")
-    figure = _figure_functions()[args.which](num_samples=_resolve_samples(args))
+    figure = _figure_functions()[args.which](num_samples=args.num_samples)
     print(figure.render())
     if args.csv_out:
         figure.save_csv(args.csv_out)
@@ -541,7 +517,7 @@ def _command_plan(args) -> int:
 
     dataset = _DATASETS[args.dataset]()
     horizon = args.horizon or max(1, dataset.num_timestamps // 5)
-    num_samples = _resolve_samples(args)
+    num_samples = args.num_samples
     sax = None
     if args.sax_segment is not None:
         sax = SaxConfig(segment_length=args.sax_segment)
@@ -563,7 +539,7 @@ def _command_backtest(args) -> int:
     from repro.evaluation import rolling_origin_evaluation
 
     dataset = _DATASETS[args.dataset]()
-    num_samples = _resolve_samples(args)
+    num_samples = args.num_samples
     spec = None
     options = {}
     if args.method.startswith("multicast"):
@@ -578,7 +554,7 @@ def _command_backtest(args) -> int:
     if args.workers > 0:
         from repro.serving import ForecastEngine
 
-        engine = ForecastEngine(num_workers=args.workers)
+        engine = ForecastEngine(max_concurrent_requests=args.workers)
     try:
         result = rolling_origin_evaluation(
             args.method, dataset, horizon=args.horizon,
@@ -637,7 +613,6 @@ def _command_batch(args) -> int:
         tracer = Tracer(SpanCollector())
     failed = 0
     with ForecastEngine(
-        num_workers=args.workers,
         cache=cache,
         max_concurrent_requests=args.request_concurrency,
         max_resident_streams=args.max_resident_streams,
@@ -705,14 +680,9 @@ def _command_serve(args) -> int:
     if args.shards > 0:
         from repro.sharding import ShardedEngine
 
-        engine = ShardedEngine(
-            num_shards=args.shards,
-            worker_threads=args.workers,
-            ledger=args.ledger,
-        )
+        engine = ShardedEngine(num_shards=args.shards, ledger=args.ledger)
     else:
         engine = ForecastEngine(
-            num_workers=args.workers,
             max_concurrent_requests=args.request_concurrency,
             ledger=args.ledger,
         )
@@ -775,7 +745,7 @@ def _command_loadtest(args) -> int:
         distinct=args.distinct,
         seed=args.seed,
         horizon=args.horizon,
-        num_samples=_resolve_samples(args, default=2),
+        num_samples=args.num_samples,
         model=args.model,
         execution=args.execution,
         deadline_seconds=args.deadline,

@@ -2,17 +2,8 @@
 
 from repro.core.aggregation import AGGREGATION_METHODS, aggregate_samples
 from repro.core.config import PROMPT_STRATEGIES, MultiCastConfig, SaxConfig
-from repro.core.estimator import (
-    BaseEstimator,
-    Estimator,
-    PerDimension,
-    positional_shim,
-)
-from repro.core.forecaster import (
-    MultiCastForecaster,
-    SampleRunner,
-    run_sequentially,
-)
+from repro.core.estimator import BaseEstimator, Estimator, PerDimension
+from repro.core.forecaster import MultiCastForecaster
 from repro.core.multiplex import (
     MULTIPLEX_SCHEMES,
     BlockInterleaver,
@@ -42,10 +33,7 @@ __all__ = [
     "Estimator",
     "BaseEstimator",
     "PerDimension",
-    "positional_shim",
     "MultiCastForecaster",
-    "SampleRunner",
-    "run_sequentially",
     "StageClock",
     "STAGES",
     "ForecastOutput",

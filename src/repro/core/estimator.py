@@ -11,10 +11,6 @@ module defines that contract once:
 * :class:`BaseEstimator` — a mixin that implements the parameter
   machinery (``get_params``/``set_params``/``clone``/``get_test_params``)
   by introspecting the constructor signature, sklearn/sktime style;
-* :func:`positional_shim` — a constructor decorator that keeps legacy
-  positional calls (``ARIMA((1, 0, 0))``) working for one release behind
-  a :class:`DeprecationWarning` (the pyproject filterwarnings promote
-  first-party use of the deprecated Estimator API spellings to errors);
 * :class:`PerDimension` — a meta-estimator that lifts a univariate
   estimator to ``(n, d)`` input by fitting one clone per dimension.
 
@@ -25,9 +21,7 @@ parameter names are exactly the constructor keyword names, so
 
 from __future__ import annotations
 
-import functools
 import inspect
-import warnings
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -38,7 +32,6 @@ __all__ = [
     "Estimator",
     "BaseEstimator",
     "PerDimension",
-    "positional_shim",
 ]
 
 
@@ -70,57 +63,13 @@ class Estimator(Protocol):
         ...
 
 
-def positional_shim(*names: str):
-    """Keep legacy positional construction working behind a deprecation shim.
-
-    Apply to a keyword-only ``__init__``; ``names`` gives the legacy
-    positional order.  A positional call maps the arguments onto those
-    keywords and emits a :class:`DeprecationWarning` naming the Estimator
-    API (so the pyproject filterwarnings turn first-party legacy calls
-    into errors).  ``inspect.signature`` still sees the wrapped
-    keyword-only signature via ``__wrapped__``, which is what
-    :meth:`BaseEstimator.get_params` introspects.
-    """
-
-    def decorate(init):
-        @functools.wraps(init)
-        def wrapper(self, *args, **kwargs):
-            if args:
-                if len(args) > len(names):
-                    raise TypeError(
-                        f"{type(self).__name__}() takes at most "
-                        f"{len(names)} positional arguments ({len(args)} given)"
-                    )
-                warnings.warn(
-                    f"positional arguments to {type(self).__name__}() are "
-                    f"deprecated under the Estimator API; pass "
-                    f"{', '.join(repr(n) for n in names[: len(args)])} by "
-                    f"keyword",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                for name, value in zip(names, args):
-                    if name in kwargs:
-                        raise TypeError(
-                            f"{type(self).__name__}() got multiple values "
-                            f"for argument {name!r}"
-                        )
-                    kwargs[name] = value
-            return init(self, **kwargs)
-
-        return wrapper
-
-    return decorate
-
-
 class BaseEstimator:
     """Parameter machinery shared by every estimator.
 
     Subclasses get ``get_params``/``set_params``/``clone``/
     ``get_test_params`` for free.  The parameter names default to the
-    constructor's keyword names (``__wrapped__`` is followed through
-    :func:`positional_shim`); a subclass whose attributes diverge from its
-    signature can override the :attr:`_PARAMS` tuple instead.  The default
+    constructor's keyword names; a subclass whose attributes diverge from
+    its signature can override the :attr:`_PARAMS` tuple instead.  The default
     :meth:`predict` delegates to the subclass's classical ``forecast``
     method, so retrofit classes keep their historical surface.
     """

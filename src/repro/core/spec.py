@@ -1,34 +1,28 @@
 """ForecastSpec: the one request object every entry point accepts.
 
-Four PRs of growth left the public surface with overlapping-but-different
-kwargs: ``MultiCastForecaster.forecast(history, horizon, seed=...)``,
-``ForecastEngine.submit(ForecastRequest(...))``, CLI flags, and
-``rolling_origin_evaluation(..., **pipeline_options)`` each spelled the
-same pipeline settings a little differently.  :class:`ForecastSpec`
-consolidates them: one frozen dataclass carrying the series, the horizon,
-every pipeline knob of :class:`~repro.core.config.MultiCastConfig`, the
-sampling seed, and the execution mode (``"batched"`` — the default
-lockstep scheduler of :mod:`repro.llm.batch` — ``"pooled"``,
-``"sequential"`` or ``"continuous"``, the cross-request shared scheduler
-of :mod:`repro.scheduling`; all four produce bit-identical outputs under
-the same seed, so the choice is purely about wall-clock).
-
-Migration (see ``docs/API.md``)::
+:class:`ForecastSpec` is one frozen dataclass carrying the series, the
+horizon, every pipeline knob of :class:`~repro.core.config.MultiCastConfig`,
+the sampling seed, and the execution mode — ``"batched"`` (the default: one
+lockstep pass of :mod:`repro.llm.batch`) or ``"continuous"`` (the
+cross-request shared scheduler of :mod:`repro.scheduling`).  Both produce
+bit-identical outputs under the same seed, so the choice is purely about
+wall-clock::
 
     spec = ForecastSpec(series=history, horizon=12, scheme="di", seed=7)
-    output = MultiCastForecaster().forecast(spec)          # was (history, 12)
-    response = ForecastEngine().forecast(spec)             # was a ForecastRequest
-    result = rolling_origin_evaluation("multicast-di", ds, 12, spec=spec)
+    output = MultiCastForecaster().forecast(spec)
+    response = ForecastEngine().forecast(spec)
+    template = ForecastSpec(num_samples=3)               # no series: a template
+    result = rolling_origin_evaluation("multicast-di", ds, 12, spec=template)
 
-Legacy call styles keep working for one release behind shims that emit
-:class:`DeprecationWarning` (the test suite turns those warnings into
-errors for first-party call sites, so internal drift cannot reappear).
+The 1.x spellings (``forecast(history, horizon)``, loose backtest
+options, the ``n_samples``/``samples`` aliases) were removed in 2.0; each
+now fails with a :class:`~repro.exceptions.ConfigError` naming its
+replacement.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -44,42 +38,26 @@ __all__ = [
 ]
 
 #: The execution modes a spec (or serving request) may select.
-EXECUTION_MODES = ("batched", "pooled", "sequential", "continuous")
+EXECUTION_MODES = ("batched", "continuous")
 
-#: Legacy spellings of canonical sampling fields, accepted-and-warned for
-#: one release (the kwarg-drift cleanup: ``num_samples`` is canonical).
-#: This table is the *only* place aliases live — the CLI, the manifest
-#: loader, sweeps and the estimator adapters all route through
-#: :func:`canonicalize_sampling_options` instead of re-implementing it.
-_FIELD_ALIASES = {"n_samples": "num_samples", "samples": "num_samples"}
+#: Spellings removed in 2.0, mapped to the canonical field that replaced them.
+_REMOVED_ALIASES = {"n_samples": "num_samples", "samples": "num_samples"}
 
 
 def canonicalize_sampling_options(options: dict, *, context: str) -> dict:
-    """Rewrite deprecated option aliases (``n_samples``/``samples`` →
-    ``num_samples``).
+    """Reject the removed ``n_samples``/``samples`` spellings.
 
-    Emits a :class:`DeprecationWarning` per alias used; raises
-    :class:`~repro.exceptions.ConfigError` when an alias and its canonical
-    spelling are both present.  ``context`` names the call site in the
-    warning message.  Returns a new dict; the input is not mutated.
+    Raises :class:`~repro.exceptions.ConfigError` naming the canonical
+    replacement (``num_samples``) when either appears; ``context`` names
+    the call site in the message.  Returns a copy of ``options``.
     """
-    resolved = dict(options)
-    for alias, canonical in _FIELD_ALIASES.items():
-        if alias not in resolved:
-            continue
-        if canonical in resolved:
+    for alias, canonical in _REMOVED_ALIASES.items():
+        if alias in options:
             raise ConfigError(
-                f"{context} got both {alias!r} and {canonical!r}; "
-                f"use only {canonical!r}"
+                f"{context}: the {alias!r} option was removed in 2.0; "
+                f"use {canonical!r}"
             )
-        warnings.warn(
-            f"the {alias!r} option of {context} is deprecated; use "
-            f"{canonical!r} (the canonical ForecastSpec field name)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        resolved[canonical] = resolved.pop(alias)
-    return resolved
+    return dict(options)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -109,10 +87,10 @@ class ForecastSpec:
     seed:
         Base RNG seed for the sample ensemble.
     execution:
-        ``"batched"`` (default), ``"pooled"``, ``"sequential"`` or
-        ``"continuous"`` (the cross-request shared scheduler of
-        :mod:`repro.scheduling`) — how the sample ensemble is driven.
-        Outputs are bit-identical across modes under the same seed.
+        ``"batched"`` (default) or ``"continuous"`` (the cross-request
+        shared scheduler of :mod:`repro.scheduling`) — how the sample
+        ensemble is decoded.  Outputs are bit-identical across the two
+        under the same seed.
     """
 
     series: np.ndarray | Sequence | None = None
@@ -184,8 +162,8 @@ class ForecastSpec:
     def replace(self, **changes) -> "ForecastSpec":
         """A copy with ``changes`` applied (fields re-validated).
 
-        Deprecated aliases are rewritten exactly as in :meth:`create`;
-        anything else that is not a spec field raises
+        A removed alias (``n_samples``) or anything else that is not a
+        spec field raises
         :class:`~repro.exceptions.ConfigError` naming the offenders, so a
         typo'd knob fails loudly instead of surfacing as a bare
         ``TypeError`` deep inside ``dataclasses.replace``.
@@ -213,12 +191,11 @@ class ForecastSpec:
 
     @classmethod
     def create(cls, **options) -> "ForecastSpec":
-        """Build a spec from keyword options, accepting deprecated aliases.
+        """Build a spec from keyword options.
 
-        The constructor itself is strict; this factory first routes the
-        options through :func:`canonicalize_sampling_options` so manifest
-        loaders and CLI paths keep accepting ``n_samples`` (with a
-        :class:`DeprecationWarning`) for one release.
+        Like the constructor, but a removed alias fails with a
+        :class:`~repro.exceptions.ConfigError` naming its replacement
+        instead of a bare ``TypeError``.
         """
         return cls(
             **canonicalize_sampling_options(options, context="ForecastSpec.create")

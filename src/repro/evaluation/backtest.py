@@ -6,7 +6,7 @@ evaluation re-forecasts from successively later origins and aggregates the
 per-window errors — the standard backtest for small series.
 
 Passing ``engine=`` routes MultiCast windows through the serving layer:
-windows run concurrently on the engine's worker pool, and re-running the
+windows run concurrently on the engine's request pool, and re-running the
 same backtest (e.g. while comparing aggregation settings elsewhere, or from
 a dashboard refresh loop) answers repeated windows from the engine's
 content-addressed cache instead of regenerating them.
@@ -14,7 +14,6 @@ content-addressed cache instead of regenerating them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +86,9 @@ def rolling_origin_evaluation(
     ``spec`` is a template :class:`~repro.core.spec.ForecastSpec` carrying
     the pipeline settings for MultiCast methods (its ``series``, ``horizon``
     and ``seed`` are filled in per window; its ``scheme`` is taken from
-    ``method``).  Passing pipeline settings as loose keyword ``options``
-    instead still works but is deprecated.
+    ``method``); it defaults to ``ForecastSpec()``.  Loose keyword
+    ``options`` apply to the baseline methods only — passing them for a
+    MultiCast method raises :class:`~repro.exceptions.ConfigError`.
 
     ``engine`` (a :class:`~repro.serving.ForecastEngine`) is honoured for
     MultiCast methods: all windows are submitted at once and served
@@ -103,15 +103,17 @@ def rolling_origin_evaluation(
     backtests use the engine's own ingest cache instead.
     """
     is_multicast = method in _ENGINE_METHODS
-    if spec is not None:
-        if not is_multicast:
-            raise ConfigError(
-                f"spec= applies only to MultiCast methods, not {method!r}"
-            )
+    if spec is not None and not is_multicast:
+        raise ConfigError(
+            f"spec= applies only to MultiCast methods, not {method!r}"
+        )
+    if is_multicast:
         if options:
             raise ConfigError(
-                "pass pipeline settings inside spec=, not as loose options"
+                f"loose pipeline options {sorted(options)} were removed in "
+                f"2.0; pass them in a template spec=ForecastSpec(...)"
             )
+        spec = ForecastSpec() if spec is None else spec
         bound = [
             name for name in ("series", "horizon")
             if getattr(spec, name) is not None
@@ -125,14 +127,6 @@ def rolling_origin_evaluation(
                 + ", ".join(f"{name}=None" for name in bound)
                 + "))"
             )
-    elif is_multicast and options:
-        warnings.warn(
-            "passing loose pipeline options to rolling_origin_evaluation is "
-            "deprecated; pass a template ForecastSpec via spec= instead "
-            "(see docs/API.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if num_windows < 1:
@@ -156,23 +150,16 @@ def rolling_origin_evaluation(
         dim_names=dataset.dim_names,
         origins=origins,
     )
-    if spec is not None:
+    if is_multicast:
         forecasts = _run_windows_from_spec(
             spec, method, dataset, origins, horizon, seed, engine, state_cache
         )
-    elif engine is not None and is_multicast:
-        forecasts = _run_windows_on_engine(
-            engine, method, dataset, origins, horizon, seed, options
-        )
     else:
-        run_options = dict(options)
-        if state_cache is not None and is_multicast:
-            run_options["state_cache"] = state_cache
         forecasts = []
         for window_index, origin in enumerate(origins):
             history = np.asarray(dataset.values[:origin])
             output = run_method(
-                method, history, horizon, seed=seed + window_index, **run_options
+                method, history, horizon, seed=seed + window_index, **options
             )
             forecasts.append(
                 output if isinstance(output, np.ndarray) else output.values
@@ -194,8 +181,9 @@ def _run_windows_from_spec(
     """Run every backtest window from one template spec.
 
     Windows keep the per-window seed protocol (``seed + window_index``)
-    and take their scheme from ``method``, so a spec-driven backtest
-    scores identically to the loose-options path under the same settings.
+    and take their scheme from ``method``.  With an ``engine`` all windows
+    are submitted at once and served concurrently (and repeated runs hit
+    its result cache); otherwise they run in order on one forecaster.
     """
     from repro.core import MultiCastForecaster
     from repro.serving import ForecastRequest
@@ -222,37 +210,3 @@ def _run_windows_from_spec(
     return [
         forecaster.forecast(window_spec).values for window_spec in window_specs
     ]
-
-
-def _run_windows_on_engine(
-    engine, method, dataset, origins, horizon, seed, options
-):
-    """Submit every backtest window to the serving engine at once.
-
-    Windows keep the sequential protocol's per-window seed (``seed +
-    window_index``), so engine-served backtests score identically to
-    sequential ones — they are just faster, and repeated runs hit the
-    engine's cache.
-    """
-    from repro.core import MultiCastConfig, SaxConfig
-    from repro.serving import ForecastRequest
-
-    scheme = method.split("-", 1)[1]
-    sax_options = dict(options).pop("sax", None)
-    config_options = {k: v for k, v in options.items() if k != "sax"}
-    sax = SaxConfig(**sax_options) if isinstance(sax_options, dict) else sax_options
-    requests = []
-    for window_index, origin in enumerate(origins):
-        config = MultiCastConfig(
-            scheme=scheme, sax=sax, seed=seed + window_index, **config_options
-        )
-        requests.append(
-            ForecastRequest(
-                history=np.asarray(dataset.values[:origin]),
-                horizon=horizon,
-                config=config,
-                name=f"{dataset.name}@{origin}",
-            )
-        )
-    responses = engine.forecast_batch(requests)
-    return [response.values for response in responses]

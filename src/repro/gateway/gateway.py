@@ -1,6 +1,6 @@
 """The asyncio front door: submit / poll / result / stream over the engine.
 
-:class:`ForecastGateway` turns the thread-pooled
+:class:`ForecastGateway` turns the concurrent
 :class:`~repro.serving.engine.ForecastEngine` into an async service with
 a backpressure story:
 
@@ -20,8 +20,7 @@ a backpressure story:
   :class:`~repro.serving.request.ForecastResponse` (honouring each
   handle's *own* deadline even when coalesced behind a slower leader),
   and **stream** yields :class:`~repro.gateway.handles.StreamEvent`
-  partial-ensemble progress as sample draws retire, then the final
-  result.
+  progress as the ensemble's streams complete, then the final result.
 
 The gateway adds nothing to the numeric path: an admitted request is the
 exact :class:`~repro.serving.request.ForecastRequest` the engine would

@@ -18,7 +18,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.serving.request import ForecastRequest, ForecastResponse
 
@@ -35,13 +35,12 @@ class StreamEvent:
 
     * ``"accepted"`` — admission succeeded; ``completed``/``requested``
       report the sample ensemble size (0 completed).
-    * ``"progress"`` — a partial ensemble exists: ``completed`` of
-      ``requested`` sample draws have retired (pooled execution reports
-      each retirement; lockstep modes retire inside one decode pass and
-      go straight to ``"result"``).
+    * ``"progress"`` — ``completed`` of ``requested`` sample streams have
+      finished.  The streams of one request decode in lockstep and retire
+      together, so the engine reports ``1 … requested`` in one burst when
+      the ensemble's decode returns, just before ``"result"``.
     * ``"result"`` — terminal; ``response`` carries the full
-      :class:`~repro.serving.request.ForecastResponse` (which is the
-      partial-ensemble aggregate when the request degraded).
+      :class:`~repro.serving.request.ForecastResponse`.
     """
 
     kind: str

@@ -2,10 +2,11 @@
 
 MultiCast's point forecast is the per-timestamp median over S i.i.d.
 constrained continuations of *one* prompt, so a request decodes S streams
-that differ only in their sampling RNG.  The sequential and thread-pooled
-paths advance each stream's own token loop — S full passes over the model
-per step.  :class:`BatchedDecoder` advances all streams in lockstep
-instead (iteration-level batching, as in Orca-style LLM serving): one
+that differ only in their sampling RNG.  Decoding each stream with its own
+token loop (the single-stream :meth:`~repro.llm.interface.LanguageModel.decode`
+reference) costs S full passes over the model per step.
+:class:`BatchedDecoder` advances all streams in lockstep instead
+(iteration-level batching, as in Orca-style LLM serving): one
 vectorised :meth:`~repro.llm.interface.LanguageModel.next_distribution_batch`
 call per step scores every live stream, each stream samples from its row
 with its own seed-derived generator, and streams that hit their token
@@ -23,14 +24,14 @@ Two substrate properties make this cheap *and* exact:
   forks of one decode share overlay storage, so one step scores and
   advances all of its groups with a few array operations.  Early in a
   decode — and for the whole decode at low temperatures — the batch
-  collapses to a handful of groups, which is where the ≥3× win over the
-  pooled path comes from (see ``benchmarks/bench_batching.py``).
+  collapses to a handful of groups, which is where lockstep decoding
+  wins over per-stream loops (see ``benchmarks/bench_batching.py``).
 * **Bit-identity** — every stream samples through the same
   :func:`~repro.llm.sampling.sample_from_distribution` routine, with the
-  same per-stream generator the sequential path would use, from a
+  same per-stream generator a single-stream decode would use, from a
   distribution row that is bit-identical to a per-stream
   ``next_distribution()`` call.  Batched output therefore equals the
-  sequential and pooled paths token for token and log-prob for log-prob
+  single-stream reference token for token and log-prob for log-prob
   (pinned by ``tests/test_batched_decoding.py`` and the
   ``decode_equivalence`` fuzz family).
 """
@@ -261,8 +262,8 @@ class BatchedDecoder:
         the group's model (advanced in place), later partitions fork it
         first.  ``stop`` is polled between steps; when it returns True the
         decode aborts, already-retired streams keep their results and
-        still-live streams report ``None`` (the engine uses this to honour
-        request deadlines with a partial ensemble).
+        still-live streams report ``None`` (the engine uses this to stop a
+        request at its deadline).
 
         Emits one ``llm:decode_batch`` span carrying ``batch_width``,
         ``steps``, ``tokens_generated`` and mean occupancy/group counts.

@@ -60,7 +60,7 @@ class ModelSpec:
     seconds into real ones: each :meth:`SimulatedLLM.generate` call sleeps
     ``cost.seconds(...) * realtime_scale`` after sampling, emulating the
     latency of a remote inference API.  The sleep releases the GIL, so this
-    is what makes thread-pooled serving benchmarks representative of hosted
+    is what makes concurrent serving benchmarks representative of hosted
     backends; 0 (the default) keeps generation as fast as the substrate.
     Ingest latency is charged where ingest happens: a prefill that reuses a
     cached state only sleeps for the tokens it actually ingested, and a
@@ -78,7 +78,7 @@ class ModelSpec:
 
 @dataclass
 class PrefilledSession:
-    """A prompt ingested once, ready to be forked per sample draw.
+    """A prompt ingested once, ready to be forked per decode.
 
     Attributes
     ----------
@@ -86,7 +86,7 @@ class PrefilledSession:
         The prefilled in-context model.  **Frozen by contract** — consumers
         must :meth:`~repro.llm.interface.LanguageModel.fork` it before
         decoding, which is what makes one session safely shareable across
-        every draw of an ensemble (and across threads).
+        every stream of an ensemble (and across threads).
     context:
         The prompt tokens the session is conditioned on.
     ingested_tokens:

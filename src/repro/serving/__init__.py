@@ -3,14 +3,15 @@
 The paper's pipeline is one function call; serving heavy traffic needs four
 more things, each a module here:
 
-* :mod:`~repro.serving.engine` — :class:`ForecastEngine`, a thread-pooled
-  service that fans each request's ``num_samples`` independent draws out
-  across workers and re-aggregates them through the paper's median path,
-  bit-identically to sequential execution under the same seed;
+* :mod:`~repro.serving.engine` — :class:`ForecastEngine`, a concurrent
+  service that decodes each request's ``num_samples`` streams in lockstep
+  (one batched pass, or the shared continuous scheduler) and aggregates
+  them through the paper's median path, bit-identically to a plain
+  forecaster call under the same seed;
 * :mod:`~repro.serving.cache` — :class:`ForecastCache`, a content-addressed
   LRU over (history bytes, config, horizon, seed) digests;
 * :mod:`~repro.serving.policy` — :class:`Deadline` and :class:`RetryPolicy`
-  (bounded exponential backoff, partial-ensemble graceful degradation);
+  (per-request bounded exponential backoff);
 * :mod:`~repro.serving.metrics` — :class:`MetricsRegistry` with counters,
   gauges, and p50/p95/p99 latency histograms, exportable as JSON.
 

@@ -14,10 +14,10 @@ one per series/configuration pair::
       ]
     }
 
-``num_samples`` is the canonical sample-count key (the legacy ``samples``
-spelling is rewritten by the spec layer's shared alias table, with a
-deprecation warning); ``execution`` selects ``"pooled"`` (default)
-or ``"batched"`` ensemble decoding, with bit-identical outputs.
+``num_samples`` is the sample-count key (the 1.x ``samples`` spelling was
+removed in 2.0 and is rejected with an error naming ``num_samples``);
+``execution`` selects ``"batched"`` (default) or ``"continuous"``
+ensemble decoding, with bit-identical outputs.
 ``strategy`` picks a prompt strategy (``"patch"``, ``"decompose"``,
 ``"auto"``, ...) and ``patch_length`` sizes the patch strategy's
 aggregation window — both validated by ``MultiCastConfig``.
@@ -45,9 +45,6 @@ from repro.serving.request import ForecastRequest
 __all__ = ["BatchJob", "load_manifest"]
 
 #: manifest key → MultiCastConfig field for the plain pass-throughs.
-#: Only canonical spellings appear here: deprecated aliases (``samples``,
-#: ``n_samples``) are rewritten up front by the spec layer's
-#: ``canonicalize_sampling_options``, the single source of alias truth.
 _CONFIG_KEYS = {
     "scheme": "scheme",
     "digits": "num_digits",
@@ -80,7 +77,7 @@ class BatchJob:
     csv: str | None = None
     deadline: float | None = None
     use_cache: bool = True
-    execution: str = "pooled"
+    execution: str = "batched"
     tenant: str = ""
 
     def to_request(self, history: np.ndarray) -> ForecastRequest:
@@ -103,9 +100,6 @@ class BatchJob:
 def _parse_job(index: int, raw: dict) -> BatchJob:
     if not isinstance(raw, dict):
         raise ConfigError(f"job {index} must be an object, got {type(raw).__name__}")
-    # Rewrite deprecated aliases first (warns once per use, rejects
-    # alias + canonical together) so the rest of the parser only ever
-    # sees canonical key names.
     raw = canonicalize_sampling_options(raw, context=f"manifest job {index}")
     unknown = set(raw) - _JOB_KEYS
     if unknown:
@@ -119,7 +113,7 @@ def _parse_job(index: int, raw: dict) -> BatchJob:
         )
     if "horizon" not in raw:
         raise ConfigError(f"job {index} is missing the required 'horizon'")
-    if raw.get("execution", "pooled") not in EXECUTION_MODES:
+    if raw.get("execution", "batched") not in EXECUTION_MODES:
         raise ConfigError(
             f"job {index}: execution must be one of {EXECUTION_MODES}, "
             f"got {raw['execution']!r}"
@@ -144,7 +138,7 @@ def _parse_job(index: int, raw: dict) -> BatchJob:
         csv=raw.get("csv"),
         deadline=raw.get("deadline"),
         use_cache=bool(raw.get("use_cache", True)),
-        execution=str(raw.get("execution", "pooled")),
+        execution=str(raw.get("execution", "batched")),
         tenant=str(raw.get("tenant", "")),
     )
 

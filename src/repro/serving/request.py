@@ -5,8 +5,8 @@ forecast — the series, the pipeline configuration, the horizon — plus the
 serving-level contract: an optional per-request deadline and cache opt-out.
 A :class:`ForecastResponse` wraps the resulting
 :class:`~repro.core.output.ForecastOutput` with serving outcomes (cache hit,
-partial degradation, retry count, error) so batch callers can triage without
-exception handling.
+request attempts, error) so batch callers can triage without exception
+handling.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ class ForecastRequest:
     seed:
         Optional override of ``config.seed`` for this request.
     deadline_seconds:
-        Wall-clock budget.  Sample draws that have not finished when it
-        expires are abandoned; if at least one finished, the response
-        carries a partial-ensemble forecast flagged ``partial=True``.
+        Wall-clock budget.  A request still decoding when it expires is
+        stopped between decode steps and fails with a ``deadline of …s
+        exceeded`` error; the lockstep streams of one request retire
+        together, so there is no partial ensemble to fall back on.
     use_cache:
         Set False to bypass the engine's result cache (both lookup and
         store) for this request.
@@ -52,13 +53,10 @@ class ForecastRequest:
         digest: identical specs from different tenants coalesce to one
         computation.  Empty for direct engine calls.
     execution:
-        How the sample ensemble is driven — ``"batched"`` (lockstep
-        batched decoding), ``"pooled"`` (the engine's shared sample pool;
-        the default, and what ``"sequential"`` also maps to inside the
-        engine, whose draws always run on pool workers) or
-        ``"continuous"`` (the engine's shared cross-request scheduler;
-        see :mod:`repro.scheduling`) — bit-identical outputs in every
-        mode, so the result cache ignores it.
+        How the sample ensemble is decoded — ``"batched"`` (one lockstep
+        pass per request, the default) or ``"continuous"`` (the engine's
+        shared cross-request scheduler; see :mod:`repro.scheduling`) —
+        bit-identical outputs either way, so the result cache ignores it.
     """
 
     history: np.ndarray
@@ -69,7 +67,7 @@ class ForecastRequest:
     use_cache: bool = True
     name: str = ""
     tenant: str = ""
-    execution: str = "pooled"
+    execution: str = "batched"
 
     def __post_init__(self) -> None:
         self.history = np.asarray(self.history, dtype=float)
@@ -124,8 +122,11 @@ class ForecastResponse:
     """Outcome of serving one :class:`ForecastRequest`.
 
     ``output`` is None exactly when ``error`` is set.  ``partial`` marks a
-    gracefully degraded forecast aggregated from fewer than the requested
-    number of samples (some draws failed or ran past the deadline).
+    forecast aggregated from fewer samples than requested; lockstep
+    decoding retires a request's streams together, so a served forecast
+    is normally complete.  ``attempts`` counts request attempts under the
+    engine's :class:`~repro.serving.policy.RetryPolicy` (1 when the first
+    attempt succeeded).
 
     ``trace`` carries the request's finished
     :class:`~repro.observability.Span` tree when the engine was built with

@@ -1,8 +1,7 @@
 """The sharded engine: fan requests out to decode worker *processes*.
 
-Every execution mode the serving stack has grown — pooled draws, lockstep
-batched decoding, the continuous scheduler — still decodes inside one
-Python process, so one GIL is the ceiling on sustained throughput.
+Both execution modes of the serving stack — lockstep batched decoding
+and the continuous scheduler — decode inside one Python process, so one GIL is the ceiling on sustained throughput.
 :class:`ShardedEngine` is the escape hatch production LLM-serving stacks
 take when a single executor saturates: N worker processes (see
 :mod:`repro.sharding.worker`), each a complete single-process serving
@@ -129,8 +128,6 @@ class ShardedEngine:
         ``multiprocessing`` start method; ``"spawn"`` (default) is safe
         alongside the supervisor's threads, ``"fork"`` starts faster on
         Linux when no other threads are live yet.
-    worker_threads:
-        Sample-draw pool size inside each worker.
     result_cache_entries / ingest_cache_tokens / max_resident_streams:
         Forwarded to each worker's engine (``0`` disables the respective
         cache, exactly as in-process).
@@ -161,7 +158,6 @@ class ShardedEngine:
         num_shards: int = 2,
         *,
         start_method: str = "spawn",
-        worker_threads: int = 4,
         result_cache_entries: int = 128,
         ingest_cache_tokens: int = 262_144,
         max_resident_streams: int = 64,
@@ -190,7 +186,6 @@ class ShardedEngine:
             spill_dir = tempfile.mkdtemp(prefix="multicast-spill-")
         self.spill_dir = spill_dir
         self._options = {
-            "worker_threads": int(worker_threads),
             "result_cache_entries": int(result_cache_entries),
             "ingest_cache_tokens": int(ingest_cache_tokens),
             "max_resident_streams": int(max_resident_streams),
@@ -316,9 +311,9 @@ class ShardedEngine:
         """Route a request to its shard; returns a Future of the response.
 
         Same hooks as :meth:`ForecastEngine.submit`: ``on_progress`` is
-        relayed from the worker as sample draws retire, ``ledger_extra``
-        carries the gateway's admission metadata into the worker's ledger
-        record (``enqueued_at`` is converted to
+        relayed from the worker as the ensemble's streams complete, and
+        ``ledger_extra`` carries the gateway's admission metadata into the
+        worker's ledger record (``enqueued_at`` is converted to
         ``gateway_queue_wait_seconds`` supervisor-side, since
         ``time.perf_counter`` readings do not transfer across processes).
         """

@@ -5,7 +5,7 @@ separate OS process running :func:`worker_main` — a plain module-level
 function so the ``spawn`` start method (the safe default in a process
 that also runs supervisor threads) can import and launch it.  A worker
 owns a complete single-process stack: its own
-:class:`~repro.serving.engine.ForecastEngine` (sample pool, result
+:class:`~repro.serving.engine.ForecastEngine` (request pool, result
 cache, :class:`~repro.scheduling.ContinuousScheduler`, radix prefill
 tree) over its own :class:`~repro.llm.state_cache.IngestStateCache`,
 backed by the *shared* :class:`~repro.sharding.SpillStore` directory so
@@ -82,7 +82,6 @@ def _build_engine(options: dict):
         )
     ledger = _CollectingLedger()
     engine = ForecastEngine(
-        num_workers=int(options.get("worker_threads", 4)),
         cache=ForecastCache(max_entries=int(options.get("result_cache_entries", 128))),
         ingest_cache=IngestStateCache(
             max_tokens=int(options.get("ingest_cache_tokens", 262_144)),

@@ -159,8 +159,8 @@ class SweepSpec:
     space:
         Knob name → iterable of candidate values.  The paper's single
         letter aliases (:data:`KNOB_ALIASES`) and dotted ``sax.*`` keys
-        are accepted for multicast methods; ``n_samples`` is rewritten to
-        ``num_samples`` with the standard deprecation warning.
+        are accepted for multicast methods; the removed ``n_samples``
+        spelling is rejected with an error naming ``num_samples``.
     search:
         ``"grid"`` (full cartesian product) or ``"random"``
         (``num_trials`` seeded draws from the product).

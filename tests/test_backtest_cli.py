@@ -46,22 +46,12 @@ class TestBacktest:
         )
         assert result.num_windows == 2
 
-    def test_llm_method_loose_options_warn_but_match_spec(self):
-        from repro.core import ForecastSpec
-
+    def test_llm_method_loose_options_rejected(self):
         dataset = gas_rate(n=120)
-        with pytest.warns(DeprecationWarning, match="ForecastSpec"):
-            legacy = rolling_origin_evaluation(
+        with pytest.raises(ConfigError, match="spec=ForecastSpec"):
+            rolling_origin_evaluation(
                 "multicast-di", dataset, horizon=8, num_windows=2, num_samples=2
             )
-        modern = rolling_origin_evaluation(
-            "multicast-di",
-            dataset,
-            horizon=8,
-            num_windows=2,
-            spec=ForecastSpec(num_samples=2),
-        )
-        assert legacy.window_rmse == modern.window_rmse
 
     def test_insufficient_history_rejected(self):
         dataset = synthetic_multivariate(n=60, num_dims=1, seed=3)

@@ -2,12 +2,12 @@
 
 Pins the tentpole contracts of the batched execution path:
 
-* the three execution modes (``batched``, ``pooled``, ``sequential``) are
+* the two execution modes (``batched``, ``continuous``) are
   **bit-identical** at the forecaster level, across schemes, SAX, and
   cold/warm ingest caches;
-* the :class:`~repro.llm.batch.BatchedDecoder` equals per-stream
-  sequential decoding token for token and log-prob for log-prob on every
-  registered backend preset;
+* the :class:`~repro.llm.batch.BatchedDecoder` equals the single-stream
+  ``generate`` reference token for token and log-prob for log-prob on
+  every registered backend preset;
 * scheduling behaviour — heterogeneous budgets, retirement, early stop —
   matches its documentation;
 * :class:`~repro.core.ForecastSpec` validates eagerly, stays frozen, and
@@ -33,7 +33,7 @@ from repro.llm import (
 from repro.observability import read_ledger
 from repro.serving import ForecastEngine, ForecastRequest, load_manifest
 
-EXECUTIONS = ("batched", "pooled", "sequential")
+EXECUTIONS = ("batched", "continuous")
 
 
 def _history(n=36, d=2):
@@ -51,7 +51,7 @@ def _spec(**overrides):
 
 
 class TestForecasterEquivalence:
-    """All three execution modes produce byte-identical outputs."""
+    """Both execution modes produce byte-identical outputs."""
 
     @pytest.mark.parametrize("scheme", ["di", "vi", "vc"])
     @pytest.mark.parametrize("quantized", [False, True])
@@ -62,20 +62,18 @@ class TestForecasterEquivalence:
             mode: MultiCastForecaster().forecast(spec.replace(execution=mode))
             for mode in EXECUTIONS
         }
-        reference = outputs["sequential"]
-        for mode in ("batched", "pooled"):
-            output = outputs[mode]
-            assert output.values.tobytes() == reference.values.tobytes()
-            assert output.samples.tobytes() == reference.samples.tobytes()
-            assert output.generated_tokens == reference.generated_tokens
-            assert output.simulated_seconds == reference.simulated_seconds
-        assert outputs["batched"].metadata["execution"] == "batched"
-        assert outputs["sequential"].metadata["execution"] == "sequential"
+        reference, output = outputs["batched"], outputs["continuous"]
+        assert output.values.tobytes() == reference.values.tobytes()
+        assert output.samples.tobytes() == reference.samples.tobytes()
+        assert output.generated_tokens == reference.generated_tokens
+        assert output.simulated_seconds == reference.simulated_seconds
+        assert reference.metadata["execution"] == "batched"
+        assert output.metadata["execution"] == "continuous"
 
     def test_batched_warm_cache_identity(self):
         spec = _spec(scheme="vi")
         reference = MultiCastForecaster().forecast(
-            spec.replace(execution="sequential")
+            spec.replace(execution="continuous")
         )
         cache = IngestStateCache()
         cold = MultiCastForecaster(state_cache=cache).forecast(spec)
@@ -91,13 +89,31 @@ class TestForecasterEquivalence:
     def test_temperature_extremes_stay_identical(self, temperature):
         # Greedy decoding (temperature 0) consumes no RNG at all; a hot
         # temperature splits the batch into many groups.  Both ends must
-        # still match the sequential path exactly.
+        # still match the single-stream reference exactly.
         spec = _spec(temperature=temperature, num_samples=4)
         batched = MultiCastForecaster().forecast(spec)
-        sequential = MultiCastForecaster().forecast(
-            spec.replace(execution="sequential")
+        continuous = MultiCastForecaster().forecast(
+            spec.replace(execution="continuous")
         )
-        assert batched.samples.tobytes() == sequential.samples.tobytes()
+        assert batched.samples.tobytes() == continuous.samples.tobytes()
+        llm = get_model("llama2-7b-sim", vocab_size=8)
+        context = TestDecoderEquivalence.CONTEXT
+        seeds = child_seeds(np.random.default_rng(3), 4)
+        reference = [
+            llm.generate(
+                context, 6, np.random.default_rng(seed), temperature=temperature
+            )
+            for seed in seeds
+        ]
+        decoder = llm.generate_batch(
+            context,
+            6,
+            [np.random.default_rng(seed) for seed in seeds],
+            temperature=temperature,
+        )
+        for result, expected in zip(decoder.results, reference):
+            assert result.tokens == expected.tokens
+            assert result.log_probs == expected.log_probs
 
     def test_batched_metadata_reports_occupancy(self):
         output = MultiCastForecaster().forecast(_spec())
@@ -110,7 +126,7 @@ class TestForecasterEquivalence:
 
 
 class TestDecoderEquivalence:
-    """BatchedDecoder == per-stream sequential decode on every preset."""
+    """BatchedDecoder == the single-stream reference on every preset."""
 
     CONTEXT = [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5] * 2
     BUDGET = 6
@@ -236,8 +252,11 @@ class TestForecastSpec:
             _spec().replace(num_samples=0)
 
     def test_kwargs_alongside_spec_rejected(self):
-        with pytest.raises(ConfigError, match="inside the ForecastSpec"):
+        with pytest.raises(TypeError, match="horizon"):
             MultiCastForecaster().forecast(_spec(), horizon=3)
+        # The removed 1.x array form names its replacement.
+        with pytest.raises(ConfigError, match="ForecastSpec"):
+            MultiCastForecaster().forecast(_history(), 3)
 
     def test_sax_dict_coerced(self):
         spec = _spec(sax={"segment_length": 4, "alphabet_size": 5})
@@ -254,12 +273,12 @@ class TestForecastSpec:
         with pytest.raises(DataError, match="too short"):
             MultiCastForecaster().forecast(short)
 
-    def test_create_warns_on_legacy_alias(self):
-        with pytest.warns(DeprecationWarning, match="ForecastSpec"):
-            spec = ForecastSpec.create(series=_history(), horizon=4, n_samples=2)
-        assert spec.num_samples == 2
-        with pytest.raises(ConfigError, match="n_samples"):
-            ForecastSpec.create(n_samples=2, num_samples=3)
+    def test_create_rejects_removed_alias(self):
+        with pytest.raises(ConfigError, match="'n_samples'.*'num_samples'"):
+            ForecastSpec.create(series=_history(), horizon=4, n_samples=2)
+        with pytest.raises(ConfigError, match="num_samples"):
+            _spec().replace(samples=2)
+        assert ForecastSpec.create(num_samples=2).num_samples == 2
 
 
 class TestServingIntegration:
@@ -268,7 +287,7 @@ class TestServingIntegration:
     def test_engine_accepts_spec_and_tracks_occupancy(self, tmp_path):
         spec = _spec()
         ledger = tmp_path / "runs.jsonl"
-        with ForecastEngine(num_workers=2, ledger=ledger) as engine:
+        with ForecastEngine(ledger=ledger) as engine:
             response = engine.forecast(spec)
             submitted = engine.submit(spec.replace(seed=8)).result()
             snapshot = engine.metrics_snapshot()
@@ -283,11 +302,11 @@ class TestServingIntegration:
         assert [r["execution"] for r in records] == ["batched", "batched"]
 
     def test_request_from_spec_round_trips(self):
-        spec = _spec(execution="pooled")
+        spec = _spec(execution="continuous")
         request = ForecastRequest.from_spec(
             spec, deadline_seconds=30.0, name="demo"
         )
-        assert request.execution == "pooled"
+        assert request.execution == "continuous"
         assert request.horizon == spec.horizon
         assert request.effective_seed == spec.seed
         assert request.deadline_seconds == 30.0
@@ -300,16 +319,24 @@ class TestServingIntegration:
         path.write_text(json.dumps({
             "jobs": [
                 {"name": "a", "dataset": "gas_rate", "horizon": 4,
-                 "num_samples": 2, "execution": "batched"},
+                 "num_samples": 2, "execution": "continuous"},
                 {"name": "b", "dataset": "gas_rate", "horizon": 4},
             ]
         }))
         jobs = load_manifest(path)
-        assert jobs[0].execution == "batched"
+        assert jobs[0].execution == "continuous"
         assert jobs[0].config.num_samples == 2
-        assert jobs[1].execution == "pooled"  # serving default
+        assert jobs[1].execution == "batched"  # serving default
         request = jobs[0].to_request(_history())
-        assert request.execution == "batched"
+        assert request.execution == "continuous"
+
+    def test_manifest_rejects_removed_samples_key(self, tmp_path):
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps([
+            {"dataset": "gas_rate", "horizon": 4, "samples": 2}
+        ]))
+        with pytest.raises(ConfigError, match="'samples'.*'num_samples'"):
+            load_manifest(path)
 
     def test_manifest_rejects_bad_execution(self, tmp_path):
         path = tmp_path / "jobs.json"
@@ -321,7 +348,7 @@ class TestServingIntegration:
 
     def test_cli_execution_flag_is_value_neutral(self, tmp_path, capsys):
         outputs = {}
-        for mode in ("batched", "sequential"):
+        for mode in EXECUTIONS:
             out_path = tmp_path / f"{mode}.csv"
             code = main([
                 "forecast", "--dataset", "gas_rate", "--num-samples", "2",
@@ -331,4 +358,4 @@ class TestServingIntegration:
             assert code == 0
             outputs[mode] = out_path.read_text()
         capsys.readouterr()
-        assert outputs["batched"] == outputs["sequential"]
+        assert outputs["batched"] == outputs["continuous"]

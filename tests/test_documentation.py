@@ -122,7 +122,7 @@ DOCUMENTS = [
 #: documents show realistic settings; the tests shrink the sample counts.
 SPEEDUPS = [
     ("num_samples=5", "num_samples=2"),
-    ("--samples 5", "--samples 2"),
+    ("--num-samples 5", "--num-samples 2"),
 ]
 
 

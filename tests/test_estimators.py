@@ -109,18 +109,20 @@ class TestParamsApi:
 
 
 class TestLegacyShims:
-    def test_positional_arima_order_warns_then_matches(self):
-        with pytest.warns(DeprecationWarning, match="Estimator API"):
-            legacy = ARIMA((1, 0, 0))
-        assert legacy.get_params() == ARIMA(order=(1, 0, 0)).get_params()
+    """The 1.x constructor spellings were removed in 2.0."""
 
-    def test_positional_var_order_warns(self):
-        with pytest.warns(DeprecationWarning, match="Estimator API"):
-            VAR(2)
+    def test_removed_spellings_raise_type_error(self):
+        from repro.baselines import LLMTime, LLMTimeConfig
 
-    def test_positional_lstm_args_warn(self):
-        with pytest.warns(DeprecationWarning, match="Estimator API"):
-            LSTMForecaster(4, 8)
+        for build in (
+            lambda: ARIMA((1, 0, 0)),
+            lambda: VAR(2),
+            lambda: LSTMForecaster(4, 8),
+            lambda: LLMTime(LLMTimeConfig(num_samples=1)),
+            lambda: LLMTime(config=LLMTimeConfig(num_samples=1)),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
     def test_keyword_construction_is_silent(self):
         import warnings
@@ -128,19 +130,6 @@ class TestLegacyShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             GRUForecaster(window=4, hidden_size=8)
-
-    def test_llmtime_config_object_warns(self):
-        from repro.baselines import LLMTimeConfig
-
-        with pytest.warns(DeprecationWarning, match="Estimator API"):
-            model = LLMTime_from_config(LLMTimeConfig(num_samples=1))
-        assert model.num_samples == 1
-
-
-def LLMTime_from_config(config):
-    from repro.baselines import LLMTime
-
-    return LLMTime(config)
 
 
 class TestSeedDeterminism:

@@ -222,10 +222,8 @@ class TestSimulatedPrefill:
             llm.generate([0, 1, 2, 3], 4, np.random.default_rng(0), session=session)
 
 
-def _forecast(config, state_cache=None, share_prefill=True):
-    forecaster = MultiCastForecaster(
-        state_cache=state_cache, share_prefill=share_prefill
-    )
+def _forecast(config, state_cache=None):
+    forecaster = MultiCastForecaster(state_cache=state_cache)
     spec = ForecastSpec.from_config(config, series=HISTORY, horizon=5)
     return forecaster.forecast(spec)
 
@@ -237,14 +235,13 @@ class TestBitIdentity:
     @pytest.mark.parametrize("sax", [None, SaxConfig()], ids=["raw", "sax"])
     def test_cached_and_uncached_forecasts_are_bit_identical(self, scheme, sax):
         config = MultiCastConfig(scheme=scheme, sax=sax, num_samples=3, seed=123)
-        baseline = _forecast(config, share_prefill=False)  # legacy per-draw path
-        shared = _forecast(config)  # shared prefill, no cache
+        baseline = _forecast(config)  # no cache
         cache = IngestStateCache()
         cold = _forecast(config, state_cache=cache)  # cache miss
         warm = _forecast(config, state_cache=cache)  # cache fork
         assert cold.metadata["ingest"] == "miss"
         assert warm.metadata["ingest"] == "fork"
-        for output in (shared, cold, warm):
+        for output in (cold, warm):
             assert output.values.tobytes() == baseline.values.tobytes()
             assert output.samples.tobytes() == baseline.samples.tobytes()
             assert output.prompt_tokens == baseline.prompt_tokens
@@ -284,7 +281,6 @@ class TestEngineWiring:
         ledger_path = tmp_path / "ledger.jsonl"
         config = MultiCastConfig(num_samples=2, seed=0)
         with ForecastEngine(
-            num_workers=2,
             cache=ForecastCache(max_entries=0),  # isolate the ingest cache
             ledger=str(ledger_path),
         ) as engine:
@@ -307,9 +303,7 @@ class TestEngineWiring:
         from repro.serving import ForecastEngine, ForecastRequest
 
         config = MultiCastConfig(num_samples=2, seed=0)
-        with ForecastEngine(
-            num_workers=2, ingest_cache=IngestStateCache(max_tokens=0)
-        ) as engine:
+        with ForecastEngine(ingest_cache=IngestStateCache(max_tokens=0)) as engine:
             response = engine.forecast(ForecastRequest(HISTORY, 4, config=config))
         assert response.ok
         assert response.output.metadata["ingest"] == "miss"

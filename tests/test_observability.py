@@ -48,11 +48,7 @@ CONFIG = MultiCastConfig(num_samples=2, seed=0)
 
 
 def _spec(config, history, horizon):
-    # The per-draw span assertions below describe the sequential runner;
-    # batched execution has its own span shape (see test_batched_decoding).
-    return ForecastSpec.from_config(
-        config, series=history, horizon=horizon, execution="sequential"
-    )
+    return ForecastSpec.from_config(config, series=history, horizon=horizon)
 
 
 class _FlakyPPM(PPMLanguageModel):
@@ -232,36 +228,25 @@ class TestForecastTracing:
         (root,) = collector.drain()
         assert stage_timings(root) == output.timings
 
-    def test_sample_draw_spans_one_per_draw_with_llm_children(self):
+    def test_generate_stage_has_one_ingest_and_one_batched_decode(self):
         collector = SpanCollector()
-        MultiCastForecaster(tracer=Tracer(collector)).forecast(
+        output = MultiCastForecaster(tracer=Tracer(collector)).forecast(
             _spec(CONFIG, HISTORY, 3)
         )
         (root,) = collector.drain()
         generate = root.find("stage:generate")
-        draws = [c for c in generate.children if c.name == "sample_draw"]
-        assert len(draws) == CONFIG.num_samples
-        assert sorted(d.attributes["sample_index"] for d in draws) == [0, 1]
-        for draw in draws:
-            assert draw.attributes["attempt"] == 1
-            assert draw.attributes["tokens_generated"] > 0
-            llm = draw.find("llm:generate")
-            assert llm is not None
-            # Prompt ingest is shared: every draw forks the prefilled model.
-            assert llm.attributes["ingest"] == "fork"
-            assert llm.find("llm:ingest") is None
-            assert llm.find("llm:decode") is not None
-        # Exactly one draw performed the shared prefill, as a sibling
-        # llm:ingest span under its sample_draw.
-        ingests = [d.find("llm:ingest") for d in draws]
-        ingests = [s for s in ingests if s is not None]
-        assert len(ingests) == 1
-        (ingest,) = ingests
+        assert [c.name for c in generate.children] == [
+            "llm:ingest",
+            "llm:decode_batch",
+        ]
+        ingest, decode = generate.children
         assert ingest.attributes["ingest"] == "miss"  # no cache attached
         assert (
             ingest.attributes["ingested_tokens"]
             == ingest.attributes["context_tokens"]
         )
+        assert decode.attributes["batch_width"] == CONFIG.num_samples
+        assert output.metadata["execution"] == "batched"
 
     def test_ingest_span_reports_fork_on_cache_hit(self):
         from repro.llm import IngestStateCache
@@ -398,7 +383,7 @@ class TestEngineObservability:
 
     def test_request_span_wraps_forecast_and_lands_on_response(self):
         collector = SpanCollector()
-        with ForecastEngine(num_workers=2, tracer=Tracer(collector)) as engine:
+        with ForecastEngine(tracer=Tracer(collector)) as engine:
             response = engine.submit(self._request()).result()
         assert response.trace is not None
         root = response.trace
@@ -411,7 +396,7 @@ class TestEngineObservability:
 
     def test_cache_hit_span_has_no_forecast_child(self):
         collector = SpanCollector()
-        with ForecastEngine(num_workers=1, tracer=Tracer(collector)) as engine:
+        with ForecastEngine(tracer=Tracer(collector)) as engine:
             engine.submit(self._request()).result()
             hit = engine.submit(self._request()).result()
         assert hit.cache_hit
@@ -420,9 +405,9 @@ class TestEngineObservability:
 
     def test_traced_engine_results_bit_identical_to_untraced(self):
         request = self._request()
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             plain = engine.submit(self._request()).result()
-        with ForecastEngine(num_workers=2, tracer=Tracer()) as engine:
+        with ForecastEngine(tracer=Tracer()) as engine:
             traced = engine.submit(request).result()
         assert np.array_equal(plain.output.values, traced.output.values)
         assert np.array_equal(plain.output.samples, traced.output.samples)
@@ -436,7 +421,7 @@ class TestEngineObservability:
             config=MultiCastConfig(num_samples=2, model="no-such-model"),
             name="bad",
         )
-        with ForecastEngine(num_workers=2, ledger=path) as engine:
+        with ForecastEngine(ledger=path) as engine:
             engine.submit(self._request(name="fresh")).result()
             engine.submit(self._request(name="hit")).result()
             engine.submit(bad).result()
@@ -455,7 +440,7 @@ class TestEngineObservability:
 
     def test_ledger_spans_recorded_when_tracing_on(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        with ForecastEngine(num_workers=1, tracer=Tracer(), ledger=path) as engine:
+        with ForecastEngine(tracer=Tracer(), ledger=path) as engine:
             engine.submit(self._request()).result()
         (record,) = read_ledger(path)
         assert record["spans"]["name"] == "request"
@@ -464,7 +449,7 @@ class TestEngineObservability:
 
     def test_summary_latency_matches_metrics_registry_quantiles(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        with ForecastEngine(num_workers=2, ledger=path) as engine:
+        with ForecastEngine(ledger=path) as engine:
             for seed in range(3):
                 engine.submit(self._request(name=f"r{seed}", seed=seed)).result()
             snapshot = engine.metrics.snapshot()
@@ -478,7 +463,7 @@ class TestEngineObservability:
             histogram["p95"], rel=1e-6
         )
 
-    def test_retried_draw_shows_sibling_attempt_spans(self, tmp_path):
+    def test_retried_request_shows_sibling_forecast_spans(self, tmp_path):
         register_model(
             ModelSpec(
                 name="flaky-trace-sim",
@@ -491,20 +476,17 @@ class TestEngineObservability:
         collector = SpanCollector()
         path = tmp_path / "runs.jsonl"
         config = MultiCastConfig(num_samples=2, model="flaky-trace-sim", seed=0)
-        with ForecastEngine(
-            num_workers=1, tracer=Tracer(collector), ledger=path
-        ) as engine:
+        with ForecastEngine(tracer=Tracer(collector), ledger=path) as engine:
             response = engine.submit(
                 ForecastRequest(HISTORY, horizon=3, config=config, name="flaky")
             ).result()
         assert response.ok
-        assert response.attempts >= 1
+        assert response.attempts == 2
         root = collector.drain()[0]
-        draws = [s for s in root.walk() if s.name == "sample_draw"]
-        attempts = sorted(s.attributes["attempt"] for s in draws)
-        # One draw failed once and was retried: its task records attempt 1
-        # and 2 as sibling spans.
-        assert attempts.count(2) == 1
-        assert len(draws) == config.num_samples + 1
+        # The first attempt failed in its prefill and the whole forecast
+        # was retried: two sibling forecast spans under the request.
+        forecasts = [c for c in root.children if c.name == "forecast"]
+        assert len(forecasts) == 2
+        assert root.attributes["attempts"] == 2
         (record,) = read_ledger(path)
         assert record["outcome"] == "ok"

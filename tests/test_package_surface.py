@@ -44,26 +44,19 @@ class TestTopLevelApi:
         output = MultiCastForecaster().forecast(spec)
         assert output.values.shape == future.shape
 
-    def test_legacy_forecast_call_warns_but_matches(self):
-        from repro import ForecastSpec, MultiCastConfig, MultiCastForecaster
+    def test_legacy_forecast_call_is_rejected(self):
+        from repro import ConfigError, MultiCastConfig, MultiCastForecaster
         from repro.data import gas_rate
 
         history, future = gas_rate().train_test_split()
         config = MultiCastConfig(scheme="vi", num_samples=2)
-        with pytest.warns(DeprecationWarning, match="ForecastSpec"):
-            legacy = MultiCastForecaster(config).forecast(
-                history, horizon=len(future)
-            )
-        spec = ForecastSpec.from_config(
-            config, series=history, horizon=len(future)
-        )
-        modern = MultiCastForecaster().forecast(spec)
-        assert np.array_equal(legacy.values, modern.values)
+        with pytest.raises(ConfigError, match="ForecastSpec"):
+            MultiCastForecaster(config).forecast(history, len(future))
 
     def test_version_is_exposed(self):
         import repro
 
-        assert repro.__version__ == "1.3.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_all_names_resolve(self):
         import repro
@@ -185,9 +178,10 @@ class TestCliTableAndFigureVariants:
         assert main(["figure", "6", "--num-samples", "2"]) == 0
         assert "sax-w3" in capsys.readouterr().out
 
-    def test_cli_legacy_samples_flag_warns(self, capsys):
+    def test_cli_legacy_samples_flag_is_rejected(self, capsys):
         from repro.cli import main
 
-        with pytest.warns(DeprecationWarning, match="num_samples"):
-            assert main(["figure", "6", "--samples", "2"]) == 0
-        assert "sax-w3" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure", "6", "--samples", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --samples" in capsys.readouterr().err

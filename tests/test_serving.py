@@ -55,17 +55,19 @@ class _FlakyPPM(PPMLanguageModel):
 
 
 class _SlowPPM(PPMLanguageModel):
-    """Sleeps before decoding — every draw blows the deadline.
+    """Sleeps in every lockstep decode step — the request blows its deadline.
 
-    The delay sits in ``decode`` (not ``reset``) because prompt ingest is
-    shared across draws; deadline tests need each *draw* to be slow.
+    The delay sits in ``next_distribution_batch`` (not ``reset``) because
+    prompt ingest happens once per request; deadline tests need the
+    *decode* to be slow.
     """
 
     delay = 0.3
 
-    def decode(self, *args, **kwargs):
-        time.sleep(self.delay)
-        return super().decode(*args, **kwargs)
+    @classmethod
+    def next_distribution_batch(cls, models):
+        time.sleep(cls.delay)
+        return super().next_distribution_batch(models)
 
 
 def _register(name, factory):
@@ -252,37 +254,34 @@ class TestMetrics:
 class TestEngineEquivalence:
     @pytest.mark.parametrize("scheme", ["di", "vc"])
     def test_parallel_matches_sequential_exactly(self, scheme):
-        """The headline determinism property: engine fan-out is bit-identical
-        to sequential MultiCastForecaster.forecast under a fixed seed."""
+        """The headline determinism property: a served forecast is
+        bit-identical to a direct MultiCastForecaster.forecast under a fixed
+        seed."""
         config = MultiCastConfig(scheme=scheme, num_samples=5, seed=42)
-        sequential = MultiCastForecaster().forecast(
-            ForecastSpec.from_config(
-                config, series=HISTORY, horizon=7, execution="sequential"
-            )
+        direct = MultiCastForecaster().forecast(
+            ForecastSpec.from_config(config, series=HISTORY, horizon=7)
         )
-        with ForecastEngine(num_workers=4) as engine:
+        with ForecastEngine() as engine:
             served = engine.forecast(ForecastRequest(HISTORY, 7, config=config))
         assert served.ok and not served.partial
-        assert np.array_equal(served.output.values, sequential.values)
-        assert np.array_equal(served.output.samples, sequential.samples)
+        assert np.array_equal(served.output.values, direct.values)
+        assert np.array_equal(served.output.samples, direct.samples)
 
     def test_sax_and_seed_override_equivalence(self):
         config = MultiCastConfig(num_samples=4, sax=SaxConfig(), seed=0)
-        sequential = MultiCastForecaster().forecast(
-            ForecastSpec.from_config(
-                config, series=HISTORY, horizon=9, seed=5, execution="sequential"
-            )
+        direct = MultiCastForecaster().forecast(
+            ForecastSpec.from_config(config, series=HISTORY, horizon=9, seed=5)
         )
-        with ForecastEngine(num_workers=3) as engine:
+        with ForecastEngine() as engine:
             served = engine.forecast(
                 ForecastRequest(HISTORY, 9, config=config, seed=5)
             )
-        assert np.array_equal(served.output.samples, sequential.samples)
+        assert np.array_equal(served.output.samples, direct.samples)
 
 
 class TestEngineServing:
     def test_cache_hit_on_repeat_and_isolation_between_configs(self):
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             request = ForecastRequest(
                 HISTORY, 5, config=MultiCastConfig(num_samples=2)
             )
@@ -296,7 +295,7 @@ class TestEngineServing:
         assert engine.metrics.counter("cache_hits").value == 1
 
     def test_use_cache_false_bypasses(self):
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             request = ForecastRequest(
                 HISTORY, 5, config=MultiCastConfig(num_samples=2), use_cache=False
             )
@@ -312,7 +311,7 @@ class TestEngineServing:
             ForecastRequest(HISTORY, 4, config=good, name="ok-2"),
         ]
         requests[1].history = np.full((10, 2), np.nan)
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             responses = engine.forecast_batch(requests)
         assert [r.name for r in responses] == ["ok-1", "bad-nan", "ok-2"]
         assert responses[0].ok and responses[2].ok
@@ -323,19 +322,85 @@ class TestEngineServing:
         _FlakyPPM.failures["remaining"] = 2
         config = MultiCastConfig(num_samples=3, model="serving-flaky", seed=0)
         with ForecastEngine(
-            num_workers=2, retry=RetryPolicy(max_attempts=3, base_delay=0.001)
+            retry=RetryPolicy(max_attempts=3, base_delay=0.001)
         ) as engine:
             response = engine.forecast(ForecastRequest(HISTORY, 4, config=config))
             assert response.ok and not response.partial
             assert response.attempts >= 2
-            assert engine.metrics.counter("sample_retries").value >= 2
+            assert engine.metrics.counter("request_retries").value >= 2
+
+    @pytest.mark.parametrize("execution", ["batched", "continuous"])
+    def test_flaky_prefill_is_retried_per_request(self, execution):
+        """Retry wraps the whole request, so it covers lockstep prefill too,
+        and a retried forecast is byte-identical to an unflaky one."""
+        _register("serving-steady", lambda v: PPMLanguageModel(v, max_order=3))
+        _register("serving-flaky", lambda v: _FlakyPPM(v, max_order=3))
+        steady = MultiCastConfig(num_samples=3, model="serving-steady", seed=0)
+        reference = MultiCastForecaster().forecast(
+            ForecastSpec.from_config(steady, series=HISTORY, horizon=4)
+        )
+        flaky = MultiCastConfig(num_samples=3, model="serving-flaky", seed=0)
+        _FlakyPPM.failures["remaining"] = 2
+        with ForecastEngine(
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0)
+        ) as engine:
+            response = engine.forecast(
+                ForecastRequest(HISTORY, 4, config=flaky, execution=execution)
+            )
+            assert response.ok, response.error
+            assert response.attempts == 3
+            assert engine.metrics.counter("request_retries").value == 2
+        _FlakyPPM.failures["remaining"] = 0
+        assert response.output.values.tobytes() == reference.values.tobytes()
+        assert response.output.samples.tobytes() == reference.samples.tobytes()
+
+    def test_progress_reports_every_completed_stream(self):
+        calls = []
+
+        def on_progress(completed, requested):
+            calls.append((completed, requested))
+            raise RuntimeError("advisory hooks never sink the forecast")
+
+        with ForecastEngine() as engine:
+            response = engine.forecast(
+                ForecastRequest(HISTORY, 4, config=MultiCastConfig(num_samples=3)),
+                on_progress=on_progress,
+            )
+        assert response.ok
+        assert calls == [(1, 3), (2, 3), (3, 3)]
+
+    def test_gateway_stream_of_default_spec_reports_each_stream(self):
+        import asyncio
+
+        from repro.gateway import ForecastGateway
+
+        spec = ForecastSpec.from_config(
+            MultiCastConfig(num_samples=3, seed=4), series=HISTORY, horizon=4
+        )
+        assert spec.execution == "batched"
+
+        async def run():
+            async with ForecastGateway() as gateway:
+                handle = await gateway.submit(spec)
+                return [
+                    (event.kind, event.completed)
+                    async for event in gateway.stream(handle)
+                ]
+
+        events = asyncio.run(run())
+        assert [kind for kind, _ in events] == (
+            ["accepted"] + ["progress"] * 3 + ["result"]
+        )
+        assert [completed for kind, completed in events if kind == "progress"] == [
+            1, 2, 3,
+        ]
 
     def test_permanent_failure_yields_error_response(self):
         _register("serving-flaky", lambda v: _FlakyPPM(v, max_order=3))
         _FlakyPPM.failures["remaining"] = 10**9
         config = MultiCastConfig(num_samples=2, model="serving-flaky")
         with ForecastEngine(
-            num_workers=2, retry=RetryPolicy(max_attempts=2, base_delay=0.0)
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0)
         ) as engine:
             response = engine.forecast(ForecastRequest(HISTORY, 4, config=config))
             assert not response.ok
@@ -343,45 +408,25 @@ class TestEngineServing:
             assert engine.metrics.counter("requests_failed").value == 1
         _FlakyPPM.failures["remaining"] = 0
 
-    def test_deadline_expiry_degrades_to_partial_ensemble(self):
-        _register("serving-slow", lambda v: _SlowPPM(v, max_order=3))
-        config = MultiCastConfig(num_samples=3, model="serving-slow", seed=0)
-        # One worker serialises the slow draws: the first (~0.3 s) finishes
-        # inside the 0.45 s deadline, the remaining two are abandoned.
-        with ForecastEngine(num_workers=1, cache=ForecastCache(0)) as engine:
-            response = engine.forecast(
-                ForecastRequest(HISTORY, 4, config=config, deadline_seconds=0.45)
-            )
-            assert response.ok and response.partial
-            assert response.output.metadata["completed_samples"] < 3
-            assert response.output.values.shape == (4, 2)
-            assert np.isfinite(response.output.values).all()
-            assert engine.metrics.counter("samples_abandoned").value >= 1
-            assert engine.metrics.counter("requests_partial").value == 1
-
     def test_deadline_with_no_completed_samples_is_an_error(self):
         _register("serving-slow", lambda v: _SlowPPM(v, max_order=3))
         config = MultiCastConfig(num_samples=2, model="serving-slow", seed=1)
-        with ForecastEngine(num_workers=1, cache=ForecastCache(0)) as engine:
+        with ForecastEngine(
+            cache=ForecastCache(0),
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+        ) as engine:
             response = engine.forecast(
                 ForecastRequest(HISTORY, 4, config=config, deadline_seconds=0.05)
             )
             assert not response.ok
-            assert "deadline" in response.error
+            assert "deadline of 0.05s exceeded" in response.error
             assert engine.metrics.counter("requests_deadline_exceeded").value == 1
-
-    def test_partial_results_are_not_cached(self):
-        _register("serving-slow", lambda v: _SlowPPM(v, max_order=3))
-        config = MultiCastConfig(num_samples=3, model="serving-slow", seed=0)
-        with ForecastEngine(num_workers=1) as engine:
-            first = engine.forecast(
-                ForecastRequest(HISTORY, 4, config=config, deadline_seconds=0.45)
-            )
-            assert first.partial
-            assert len(engine.cache) == 0
+            # A deadline stop is neither retried nor counted as a retry.
+            assert response.attempts == 1
+            assert engine.metrics.counter("request_retries").value == 0
 
     def test_metrics_snapshot_includes_stages_and_cache(self):
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             engine.forecast(
                 ForecastRequest(HISTORY, 4, config=MultiCastConfig(num_samples=2))
             )
@@ -393,7 +438,7 @@ class TestEngineServing:
         assert snapshot["cache"]["misses"] == 1
 
     def test_closed_engine_rejects_work(self):
-        engine = ForecastEngine(num_workers=1)
+        engine = ForecastEngine()
         engine.close()
         with pytest.raises(ConfigError):
             engine.forecast(ForecastRequest(HISTORY, 4))
@@ -404,7 +449,16 @@ class TestEngineServing:
         with pytest.raises(ConfigError):
             ForecastRequest(HISTORY, 5, deadline_seconds=0.0)
         with pytest.raises(ConfigError):
-            ForecastEngine(num_workers=0)
+            ForecastEngine(max_concurrent_requests=0)
+
+    @pytest.mark.parametrize("removed", ["pooled", "sequential"])
+    def test_removed_execution_values_name_the_valid_ones(self, removed):
+        for build in (
+            lambda: ForecastRequest(HISTORY, 5, execution=removed),
+            lambda: ForecastSpec(series=HISTORY, horizon=5, execution=removed),
+        ):
+            with pytest.raises(ConfigError, match="batched.*continuous"):
+                build()
 
 
 class TestBacktestThroughEngine:
@@ -416,7 +470,7 @@ class TestBacktestThroughEngine:
         sequential = rolling_origin_evaluation(
             "multicast-di", dataset, horizon=8, num_windows=2, spec=spec
         )
-        with ForecastEngine(num_workers=3) as engine:
+        with ForecastEngine() as engine:
             served = rolling_origin_evaluation(
                 "multicast-di", dataset, horizon=8, num_windows=2,
                 spec=spec, engine=engine,
@@ -434,7 +488,7 @@ class TestBacktestThroughEngine:
         from repro.evaluation import rolling_origin_evaluation
 
         dataset = synthetic_multivariate(n=100, num_dims=1, seed=4)
-        with ForecastEngine(num_workers=1) as engine:
+        with ForecastEngine() as engine:
             result = rolling_origin_evaluation(
                 "naive", dataset, horizon=5, num_windows=2, engine=engine
             )

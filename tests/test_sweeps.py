@@ -111,10 +111,9 @@ class TestSpecTemplateEdgeCases:
         with pytest.raises(ConfigError, match="not_a_field"):
             ForecastSpec(num_samples=2).replace(not_a_field=1)
 
-    def test_replace_canonicalizes_aliases(self):
-        with pytest.warns(DeprecationWarning, match="num_samples"):
-            spec = ForecastSpec(num_samples=2).replace(n_samples=3)
-        assert spec.num_samples == 3
+    def test_replace_rejects_removed_aliases(self):
+        with pytest.raises(ConfigError, match="removed.*'num_samples'"):
+            ForecastSpec(num_samples=2).replace(n_samples=3)
 
     def test_replace_revalidates_fields(self):
         with pytest.raises(Exception):
