@@ -111,18 +111,29 @@ class TestParamsApi:
 class TestLegacyShims:
     """The 1.x constructor spellings were removed in 2.0."""
 
-    def test_removed_spellings_raise_type_error(self):
+    # The test names predate 2.0, when these spellings warned; each now
+    # checks that its spelling is rejected and the keyword form still works.
+    def test_positional_arima_order_warns_then_matches(self):
+        with pytest.raises(TypeError):
+            ARIMA((1, 0, 0))
+        assert ARIMA(order=(1, 0, 0)).get_params()["order"] == (1, 0, 0)
+
+    def test_positional_var_order_warns(self):
+        with pytest.raises(TypeError):
+            VAR(2)
+
+    def test_positional_lstm_args_warn(self):
+        with pytest.raises(TypeError):
+            LSTMForecaster(4, 8)
+
+    def test_llmtime_config_object_warns(self):
         from repro.baselines import LLMTime, LLMTimeConfig
 
-        for build in (
-            lambda: ARIMA((1, 0, 0)),
-            lambda: VAR(2),
-            lambda: LSTMForecaster(4, 8),
-            lambda: LLMTime(LLMTimeConfig(num_samples=1)),
-            lambda: LLMTime(config=LLMTimeConfig(num_samples=1)),
-        ):
-            with pytest.raises(TypeError):
-                build()
+        with pytest.raises(TypeError):
+            LLMTime(LLMTimeConfig(num_samples=1))
+        with pytest.raises(TypeError):
+            LLMTime(config=LLMTimeConfig(num_samples=1))
+        assert LLMTime(num_samples=1).num_samples == 1
 
     def test_keyword_construction_is_silent(self):
         import warnings
