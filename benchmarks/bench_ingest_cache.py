@@ -1,8 +1,8 @@
 """Ingest-caching bench: incremental extension across backtest windows.
 
-Rolling-origin evaluation with and without an
-:class:`~repro.llm.state_cache.IngestStateCache`.  Window ``k+1``'s prompt
-strictly extends window ``k``'s, so the cache turns each window's O(n)
+Rolling-origin evaluation with and without the prefix-state store
+(:class:`~repro.scheduling.RadixPrefillTree`).  Window ``k+1``'s prompt
+strictly extends window ``k``'s, so the store turns each window's O(n)
 prefill into O(Δ); the ingested-token reduction *grows* with the number of
 windows (superlinear win), which the report shows by measuring at two
 window counts.  (Within one forecast the prompt is always ingested once and
@@ -32,7 +32,7 @@ from repro.core import ForecastSpec, MultiCastConfig
 from repro.core.planning import plan_forecast
 from repro.data import Dataset
 from repro.evaluation import rolling_origin_evaluation
-from repro.llm import IngestStateCache
+from repro.scheduling import RadixPrefillTree
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_ingest.json"
 
@@ -63,7 +63,7 @@ def _history(n: int) -> np.ndarray:
 
 
 def measure_backtest_extension(window_counts=(3, 6)) -> dict:
-    """Rolling-origin backtest with and without the ingest-state cache."""
+    """Rolling-origin backtest with and without the prefix-state store."""
     dataset = Dataset(
         name="bench-extension",
         values=_history(BACKTEST_LENGTH),
@@ -82,7 +82,7 @@ def measure_backtest_extension(window_counts=(3, 6)) -> dict:
         uncached = rolling_origin_evaluation("multicast-di", dataset, **common)
         uncached_seconds = time.perf_counter() - start
 
-        cache = IngestStateCache()
+        cache = RadixPrefillTree()
         start = time.perf_counter()
         cached = rolling_origin_evaluation(
             "multicast-di", dataset, state_cache=cache, **common

@@ -21,8 +21,8 @@ values through the per-dimension encoder.
 The serialisation half of both paths lives in :mod:`repro.strategies`
 (``DigitStrategy`` and ``SaxStrategy``, plus the patch-aggregate,
 decompose-then-forecast and auto strategies); the forecaster keeps the
-sampling half — validation, seasonal adjustment, prompt ingest, the
-ingest-state cache, lockstep batched/continuous decoding — and hands it
+sampling half — validation, seasonal adjustment, prompt ingest through the
+prefix-state store, lockstep batched/continuous decoding — and hands it
 to the selected strategy through :class:`_StrategyContext`.
 """
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,8 +51,10 @@ from repro.llm import (
     get_model,
 )
 from repro.llm.interface import GenerationResult
-from repro.llm.state_cache import IngestStateCache
 from repro.observability.spans import NULL_TRACER
+
+if TYPE_CHECKING:
+    from repro.scheduling.radix import RadixPrefillTree
 
 __all__ = ["MultiCastForecaster"]
 
@@ -70,11 +73,12 @@ class MultiCastForecaster:
     True
 
     The prompt is ingested once per request and every stream of the
-    ensemble forks the prefilled model; passing an
-    :class:`~repro.llm.state_cache.IngestStateCache` additionally reuses
-    prefilled state *across* requests (exact repeats fork it, extended
-    histories advance only the new suffix).  Neither changes outputs:
-    under a fixed seed, results are bit-identical to a cold run.
+    ensemble forks the prefilled model; passing a
+    :class:`~repro.scheduling.RadixPrefillTree` as ``state_cache``
+    additionally reuses prefilled state *across* requests of either
+    execution (exact repeats fork it, extended histories advance only the
+    new suffix).  Neither changes outputs: under a fixed seed, results are
+    bit-identical to a cold run.
     """
 
     def __init__(
@@ -82,7 +86,7 @@ class MultiCastForecaster:
         config: MultiCastConfig | None = None,
         *,
         tracer=None,
-        state_cache: IngestStateCache | None = None,
+        state_cache: RadixPrefillTree | None = None,
         stop: Callable[[], bool] | None = None,
         scheduler=None,
     ) -> None:
@@ -103,8 +107,8 @@ class MultiCastForecaster:
         selects how the sample ensemble is decoded (``"batched"`` — one
         lockstep pass, the default — or ``"continuous"``, the shared
         cross-request scheduler; bit-identical under the same seed).  The
-        constructor keeps only execution machinery: tracer, ingest-state
-        cache, stop callable and scheduler.
+        constructor keeps only execution machinery: tracer, prefix-state
+        store, stop callable and scheduler.
 
         ``tracer`` (defaulting to the constructor's, defaulting to the
         no-op :data:`~repro.observability.NULL_TRACER`) receives one
@@ -271,7 +275,7 @@ class MultiCastForecaster:
         same seed:
 
         * ``"batched"`` — the prompt is prefilled once (through the
-          ingest-state cache if one is attached) and one
+          prefix-state store if one is attached) and one
           :class:`~repro.llm.batch.BatchedDecoder` advances every stream
           from that shared state, under one ``llm:decode_batch`` span.
         * ``"continuous"`` — the streams join the shared cross-request
@@ -359,8 +363,10 @@ class MultiCastForecaster:
         """Decode the ensemble through the shared cross-request scheduler.
 
         With an injected scheduler (the serving engine's), this request's
-        streams join whatever other requests are resident; without one, a
-        transient single-request scheduler runs the same code path.  Either
+        streams join whatever other requests are resident (and resolve
+        their prompt through that scheduler's prefill tree); without one, a
+        transient single-request scheduler over this forecaster's
+        ``state_cache`` runs the same code path.  Either
         way the results are bit-identical to ``"batched"`` under the same
         seeds (see :mod:`repro.scheduling`).
         """
@@ -370,12 +376,9 @@ class MultiCastForecaster:
             from repro.scheduling import ContinuousScheduler
 
             transient = scheduler = ContinuousScheduler(
-                max_resident_streams=max(1, len(seeds))
+                max_resident_streams=max(1, len(seeds)),
+                prefill_tree=self._state_cache,
             )
-        if scheduler.prefill_tree is None:
-            # No radix tree attached: let the scheduler's fallback prefill
-            # still reuse this forecaster's flat ingest-state cache.
-            model.state_cache = self._state_cache
         try:
             handle = scheduler.submit(
                 model,
@@ -470,10 +473,10 @@ class _StrategyContext:
     def subforecast(self, values, horizon, seed, label=""):
         """Run a nested forecast through the full request machinery.
 
-        The sub-request shares the parent's execution mode, ingest-state
-        cache, stop callable and scheduler —
-        so it hits the ingest cache and the batched decoder exactly like a
-        top-level request — but always runs the ``"default"`` strategy
+        The sub-request shares the parent's execution mode, prefix-state
+        store, stop callable and scheduler —
+        so it hits the prefix-state store and the batched decoder exactly
+        like a top-level request — but always runs the ``"default"`` strategy
         (composites never recurse) and never re-applies seasonal
         adjustment (the composite strategy owns seasonality).
         """

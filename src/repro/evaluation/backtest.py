@@ -95,12 +95,12 @@ def rolling_origin_evaluation(
     concurrently, with results memoized in the engine's cache.  Other
     methods ignore it and run sequentially as before.
 
-    ``state_cache`` (an :class:`~repro.llm.state_cache.IngestStateCache`)
+    ``state_cache`` (a :class:`~repro.scheduling.RadixPrefillTree`)
     is honoured for sequential MultiCast windows: because origins ascend
     and each window's prompt extends the previous one's, window ``k+1``
     forks window ``k``'s cached ingest state and advances only the new
     suffix — O(Δ) instead of O(n) prefill per window.  Engine-served
-    backtests use the engine's own ingest cache instead.
+    backtests use the engine's own prefix-state store instead.
     """
     is_multicast = method in _ENGINE_METHODS
     if spec is not None and not is_multicast:

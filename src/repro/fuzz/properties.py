@@ -750,14 +750,14 @@ def _check_strategy_equivalence(case: FuzzCase) -> str | None:
     selects a strategy from :data:`~repro.core.config.PROMPT_STRATEGIES`
     by seed, and runs the identical spec through ``batched`` and
     ``continuous`` execution, each against a cold and then a warm
-    :class:`~repro.llm.state_cache.IngestStateCache`.  All four forecasts
+    :class:`~repro.scheduling.RadixPrefillTree`.  All four forecasts
     — point values and the full sample ensemble — must be bit-identical,
     and each must report the selected strategy in its metadata.
     """
     from repro.core.config import PROMPT_STRATEGIES, MultiCastConfig
     from repro.core.forecaster import MultiCastForecaster
     from repro.core.spec import ForecastSpec
-    from repro.llm.state_cache import IngestStateCache
+    from repro.scheduling import RadixPrefillTree
 
     rng = np.random.default_rng(case.seed)
     n = int(rng.integers(12, 40))
@@ -783,7 +783,7 @@ def _check_strategy_equivalence(case: FuzzCase) -> str | None:
 
     outputs = {}
     for mode in ("batched", "continuous"):
-        cache = IngestStateCache()
+        cache = RadixPrefillTree()
         for temperature in ("cold", "warm"):
             forecaster = MultiCastForecaster(state_cache=cache)
             output = forecaster.forecast(

@@ -16,10 +16,10 @@ Generation is token-by-token with a hard vocabulary constraint, exactly like
 LLMTime's logit mask restricting output to ``[0-9,]``.
 
 Prompt ingest is deterministic, so it is shared rather than repeated:
-``LanguageModel.fork()`` snapshots in-context state, ``SimulatedLLM.prefill``
-ingests a prompt once per request, and
-:class:`~repro.llm.state_cache.IngestStateCache` reuses (and incrementally
-extends) prefilled state across requests — the substrate's analogue of
+``LanguageModel.fork()`` snapshots in-context state, and
+``SimulatedLLM.prefill`` ingests a prompt once per request, reusing (and
+incrementally extending) prefilled state across requests through a
+:class:`~repro.scheduling.RadixPrefillTree` — the substrate's analogue of
 KV-cache prefix reuse.
 """
 
@@ -55,7 +55,6 @@ from repro.llm.simulated import (
     get_model,
     register_model,
 )
-from repro.llm.state_cache import IngestLookup, IngestStateCache
 
 __all__ = [
     "LanguageModel",
@@ -85,8 +84,6 @@ __all__ = [
     "SimulatedLLM",
     "ModelSpec",
     "PrefilledSession",
-    "IngestLookup",
-    "IngestStateCache",
     "get_model",
     "register_model",
     "available_models",

@@ -14,11 +14,12 @@ library selects models by name exactly as the paper selects LLaMA2 or Phi-2:
 
 New presets can be added with :func:`register_model`.
 
-Prompt ingest is shared, not repeated: :meth:`SimulatedLLM.prefill` builds
-(or fetches from an :class:`~repro.llm.state_cache.IngestStateCache`) a
-:class:`PrefilledSession`, and :meth:`SimulatedLLM.generate` accepts that
-session to fork-and-decode instead of re-ingesting the prompt — the
-substrate's equivalent of KV-cache prefix reuse.
+Prompt ingest is shared, not repeated: :meth:`SimulatedLLM.prefill` is the
+one ingest entry point.  It builds a :class:`PrefilledSession`, resolving
+the prompt through a :class:`~repro.scheduling.RadixPrefillTree` when one is
+passed (the substrate's equivalent of KV-cache prefix reuse), and
+:meth:`SimulatedLLM.generate` accepts that session to fork-and-decode
+instead of re-ingesting the prompt.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,9 +40,11 @@ from repro.llm.interface import GenerationResult, LanguageModel
 from repro.llm.ngram import NgramBackoffLM, UniformLM
 from repro.llm.ppm import PPMLanguageModel
 from repro.llm.recency import RecencyPPMLanguageModel
-from repro.llm.state_cache import IngestStateCache
 from repro.llm.wrappers import ShiftBiasedLM
 from repro.observability.spans import NULL_TRACER
+
+if TYPE_CHECKING:
+    from repro.scheduling.radix import RadixLookup, RadixPrefillTree
 
 __all__ = [
     "SimulatedLLM",
@@ -95,12 +99,17 @@ class PrefilledSession:
         ``len(context)`` on a miss).
     outcome:
         ``"fork"``, ``"extend"`` or ``"miss"`` — where the state came from.
+    pin:
+        The store's pin handle when the prefill asked for one
+        (``pin=True``), else ``None``.  While held, the covering snapshot
+        is not evicted; hand it to the store's ``release`` when done.
     """
 
     model: LanguageModel
     context: tuple[int, ...]
     ingested_tokens: int
     outcome: str
+    pin: RadixLookup | None = None
 
 
 class SimulatedLLM:
@@ -109,19 +118,14 @@ class SimulatedLLM:
     The object carries no decode state across calls — each :meth:`generate`
     conditions on exactly the prompt it is given, mirroring how a zero-shot
     API call carries no state between requests.  What *can* persist is the
-    deterministic ingest work: pass ``state_cache`` (or a ``session`` from
-    :meth:`prefill`) to reuse previously built in-context structure.
+    deterministic ingest work: pass a ``state_cache`` to :meth:`prefill`
+    (or a ``session`` from it to :meth:`generate`) to reuse previously
+    built in-context structure.
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        vocab_size: int,
-        state_cache: IngestStateCache | None = None,
-    ) -> None:
+    def __init__(self, spec: ModelSpec, vocab_size: int) -> None:
         self.spec = spec
         self.vocab_size = vocab_size
-        self.state_cache = state_cache
 
     @property
     def name(self) -> str:
@@ -144,53 +148,50 @@ class SimulatedLLM:
         self,
         context: Sequence[int],
         tracer=None,
-        state_cache: IngestStateCache | None = None,
+        state_cache: RadixPrefillTree | None = None,
+        pin: bool = False,
     ) -> PrefilledSession:
-        """Ingest ``context`` once, reusing cached state where possible.
+        """Ingest ``context`` once, reusing stored state where possible.
 
-        With a cache (the ``state_cache`` argument, falling back to the
-        instance's), an exact hit skips ingest entirely (outcome
-        ``"fork"``), a strict-prefix hit forks the cached state and
-        advances only the new suffix (``"extend"``), and a miss ingests in
-        full; the resulting state is deposited back for future calls.
-        Emits one ``llm:ingest`` span whose ``ingest`` attribute records
-        the outcome and whose ``ingested_tokens`` records the work actually
-        done — which is also all the realtime latency charged.
+        With a ``state_cache`` (a :class:`~repro.scheduling.RadixPrefillTree`)
+        the lookup, gap ingest, checkpoints and deposit are delegated to
+        :meth:`~repro.scheduling.RadixPrefillTree.prefill`: an exact hit
+        skips ingest entirely (outcome ``"fork"``), a prefix hit forks the
+        stored state and advances only the new suffix (``"extend"``), and a
+        miss ingests in full.  ``pin=True`` keeps the covering snapshot
+        from eviction until the caller releases ``session.pin``.  Without
+        a store the prompt is ingested in full.  Emits one ``llm:ingest``
+        span whose ``ingest`` attribute records the outcome and whose
+        ``ingested_tokens`` records the work actually done — which is also
+        all the realtime latency charged.
         """
         tracer = NULL_TRACER if tracer is None else tracer
-        cache = self.state_cache if state_cache is None else state_cache
         prompt = tuple(int(t) for t in context)
-        lookup = None
-        if cache is not None and cache.enabled:
-            lookup = cache.get(self.name, self.vocab_size, prompt)
-        outcome = "miss" if lookup is None else lookup.outcome
-        with tracer.span(
-            "llm:ingest",
-            context_tokens=len(prompt),
-            ingest=outcome,
-        ) as span:
-            if lookup is not None and lookup.outcome == "fork":
-                model = lookup.model
-                ingested = 0
-            elif lookup is not None and lookup.outcome == "extend":
-                model = lookup.model  # already a private fork
-                model.extend(prompt[lookup.matched :])
-                ingested = len(prompt) - lookup.matched
-                cache.put(self.name, self.vocab_size, prompt, model)
-            else:
+        handle = None
+        with tracer.span("llm:ingest", context_tokens=len(prompt)) as span:
+            if state_cache is None:
                 model = self.spec.factory(self.vocab_size)
-                ingested = len(prompt)
-                if cache is not None:
-                    # Deposits doubling-boundary checkpoints along the way,
-                    # so later *shorter* queries of this prompt can extend
-                    # from the longest cached prefix instead of missing.
-                    cache.ingest(self.name, self.vocab_size, prompt, model)
-                else:
-                    model.reset(prompt)
+                model.reset(prompt)
+                matched, outcome = 0, "miss"
+            else:
+                handle = state_cache.prefill(
+                    self.name,
+                    self.vocab_size,
+                    prompt,
+                    lambda: self.spec.factory(self.vocab_size),
+                    pin=pin,
+                )
+                model, matched, outcome = handle.model, handle.matched, handle.outcome
+            ingested = len(prompt) - matched
+            span.set_attribute("ingest", outcome)
             span.set_attribute("ingested_tokens", ingested)
             self._sleep(ingested, 0)
         return PrefilledSession(
-            model=model, context=prompt, ingested_tokens=ingested, outcome=outcome
+            model=model,
+            context=prompt,
+            ingested_tokens=ingested,
+            outcome=outcome,
+            pin=handle if pin else None,
         )
 
     def generate(
@@ -276,14 +277,14 @@ class SimulatedLLM:
         temperature: float | None = None,
         tracer=None,
         session: PrefilledSession | None = None,
-        state_cache: IngestStateCache | None = None,
         stop=None,
     ) -> BatchedDecoder:
         """Decode one constrained continuation per RNG, in lockstep.
 
         The batched counterpart of calling :meth:`generate` once per
         sample: all streams fork from one prefilled session (``session``
-        if given, else an internal :meth:`prefill`) and advance together
+        if given, else an uncached internal :meth:`prefill`; prefill
+        through a store first to reuse stored state) and advance together
         through a :class:`~repro.llm.batch.BatchedDecoder`, which emits
         the ``llm:decode_batch`` span.  Under the same per-stream RNGs the
         results are bit-identical to per-sample :meth:`generate` calls.
@@ -298,7 +299,7 @@ class SimulatedLLM:
         tracer = NULL_TRACER if tracer is None else tracer
         prompt = tuple(int(t) for t in context)
         if session is None:
-            session = self.prefill(prompt, tracer=tracer, state_cache=state_cache)
+            session = self.prefill(prompt, tracer=tracer)
         elif session.context != prompt:
             raise GenerationError(
                 "prefilled session does not match the generate_batch() context"
@@ -340,20 +341,14 @@ def register_model(spec: ModelSpec, overwrite: bool = False) -> None:
     _REGISTRY[spec.name] = spec
 
 
-def get_model(
-    name: str, vocab_size: int, state_cache: IngestStateCache | None = None
-) -> SimulatedLLM:
-    """Instantiate a registered preset for a given vocabulary size.
-
-    ``state_cache`` attaches a shared ingest-state cache so the instance's
-    :meth:`~SimulatedLLM.prefill` calls reuse prompt state across requests.
-    """
+def get_model(name: str, vocab_size: int) -> SimulatedLLM:
+    """Instantiate a registered preset for a given vocabulary size."""
     try:
         spec = _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise ConfigError(f"unknown model {name!r}; available: {known}") from None
-    return SimulatedLLM(spec, vocab_size, state_cache=state_cache)
+    return SimulatedLLM(spec, vocab_size)
 
 
 def available_models() -> list[str]:

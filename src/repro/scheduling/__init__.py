@@ -5,13 +5,15 @@ this package batches *across* forecasts, the way production LLM servers do
 (iteration-level scheduling as in Orca/vLLM, radix-tree prefix caching as
 in SGLang):
 
-* :class:`RadixPrefillTree` — a prefix tree over prompt token sequences
-  with a frozen in-context model snapshot per node, so unrelated requests
-  whose prompts share a prefix dedupe their ingest work.  It generalises
-  :class:`~repro.llm.state_cache.IngestStateCache`'s exact-hit /
-  longest-prefix logic: snapshots are deposited at branch points and at
-  doubling checkpoint boundaries, entries are LRU-evicted by resident
-  tokens, and node refcounts pin state that resident decodes still use.
+* :class:`RadixPrefillTree` — the one prefix-state store: a prefix tree
+  over prompt token sequences with a frozen in-context model snapshot per
+  node, so repeated prompts, extended histories and unrelated requests
+  whose prompts share a prefix dedupe their ingest work.  Snapshots are
+  deposited at doubling checkpoint boundaries, LRU-evicted under a budget
+  that charges each snapshot its depth (optionally demoted to a
+  :class:`~repro.sharding.SpillStore`), and node refcounts pin state that
+  resident decodes still use.  Both executions and the rolling-origin
+  backtest share it.
 * :class:`ContinuousScheduler` — one shared decode loop that many
   concurrent requests join and retire from mid-flight.  Each iteration
   scores every resident group with
@@ -22,16 +24,16 @@ in SGLang):
   request alone with ``execution="batched"`` (pinned by the
   ``sched_equivalence`` fuzz family and ``tests/test_scheduling.py``).
 
-The serving engine drives this subsystem for ``execution="continuous"``
-requests; see ``docs/ARCHITECTURE.md`` ("Continuous scheduling").
+The serving engine drives the scheduler for ``execution="continuous"``
+requests and hands its one tree to both executions; see
+``docs/ARCHITECTURE.md`` ("Continuous scheduling").
 """
 
-from repro.scheduling.radix import PrefillResult, RadixLookup, RadixPrefillTree
+from repro.scheduling.radix import RadixLookup, RadixPrefillTree
 from repro.scheduling.scheduler import ContinuousScheduler, ScheduledDecode
 
 __all__ = [
     "ContinuousScheduler",
-    "PrefillResult",
     "RadixLookup",
     "RadixPrefillTree",
     "ScheduledDecode",

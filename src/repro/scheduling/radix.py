@@ -1,9 +1,12 @@
-"""Radix-tree prefill cache: prefix-shared ingest state across requests.
+"""The prefix-state store: prefilled prompt state shared across requests.
 
-The flat :class:`~repro.llm.state_cache.IngestStateCache` keys whole
-prompts; two requests whose prompts merely *share a prefix* each pay their
-own ingest.  :class:`RadixPrefillTree` stores prompts in a
-path-compressed prefix tree (SGLang-style radix cache) with a frozen
+Prompt ingest — :meth:`~repro.llm.interface.LanguageModel.reset` — is the
+substrate's analogue of LLM prefill: O(n · order) work that would be
+re-paid from scratch on every call even though ingest is deterministic
+and prompts repeat heavily (every sample of an ensemble shares one
+prompt; rolling-origin backtest windows extend each other).
+:class:`RadixPrefillTree` is the substrate's KV-cache: it stores prompts
+in a path-compressed prefix tree (SGLang-style radix cache) with a frozen
 in-context model snapshot attached to tree nodes, so
 
 * an exact repeat forks the deepest snapshot and skips ingest entirely;
@@ -16,29 +19,59 @@ in-context model snapshot attached to tree nodes, so
   states cannot be rewound, so prefix coverage has to be built on the way
   up).
 
-Eviction is LRU by **resident tokens** (the sum of all edge segment
-lengths), and every node carries a thread-safe refcount: the continuous
-scheduler pins the node a resident decode forked from, and pinned nodes
-(plus their ancestors) are never evicted mid-flight.
+The token budget charges each held snapshot its **depth** (the prompt
+tokens it is conditioned on), since a snapshot's memory grows with the
+prompt it covers.  Eviction drops the least-recently-used unpinned
+snapshot wherever it sits in the tree, then prunes nodes left with
+neither a snapshot nor children.  Every node carries a thread-safe
+refcount: the continuous scheduler pins the node a resident decode forked
+from, and pinned snapshots are never evicted mid-flight.
 
-Snapshots obey the same freezing contract as the flat cache: the tree owns
-every deposited model, lookups hand back either the shared instance (exact
-hit — fork before mutating) or a private fork (extend), and depositors
-must not advance a model after inserting it.
+An optional **spill tier** (``spill=``, duck-typed; see
+:class:`repro.sharding.SpillStore`) turns eviction into demotion: dropped
+snapshots are serialized under their full path tokens, and a lookup that
+misses memory consults the spill tier before reporting a miss — so
+prefill state survives process restarts and migrates across sharded
+workers.
+
+Freezing contract: the tree owns every deposited model, lookups hand back
+either the shared instance (exact hit — fork before mutating) or a
+private fork (extend), and depositors must not advance a model after
+inserting it.  :meth:`~repro.llm.simulated.SimulatedLLM.prefill` drives
+the tree with this discipline.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigError
 from repro.llm.interface import LanguageModel
-from repro.llm.state_cache import checkpoint_lengths
 
-__all__ = ["PrefillResult", "RadixLookup", "RadixPrefillTree"]
+__all__ = ["CHECKPOINT_FLOOR", "RadixLookup", "RadixPrefillTree", "checkpoint_lengths"]
+
+#: Shortest prefix worth snapshotting during ingest; below this the ingest
+#: is cheaper than the bookkeeping.
+CHECKPOINT_FLOOR = 16
+
+
+def checkpoint_lengths(n: int) -> tuple[int, ...]:
+    """Doubling snapshot boundaries strictly below ``n``.
+
+    ``(16, 32, 64, ...)`` up to (excluding) ``n`` — O(log n) checkpoints
+    that guarantee any future prefix query of length ``q >= 16`` finds a
+    cached state covering at least ``q // 2`` tokens.
+    """
+    lengths = []
+    length = CHECKPOINT_FLOOR
+    while length < n:
+        lengths.append(length)
+        length *= 2
+    return tuple(lengths)
 
 
 class _Node:
@@ -51,7 +84,7 @@ class _Node:
     """
 
     __slots__ = (
-        "segment", "children", "model", "depth", "refs", "tick", "_parent",
+        "segment", "children", "model", "depth", "refs", "_parent",
         "__weakref__",
     )
 
@@ -63,7 +96,6 @@ class _Node:
         self.model: LanguageModel | None = None
         self.depth = depth
         self.refs = 0
-        self.tick = 0
         self.parent = parent
 
     @property
@@ -80,34 +112,20 @@ class _Node:
 
 @dataclass
 class RadixLookup:
-    """Outcome of one tree lookup (mirrors ``IngestLookup``).
+    """Outcome of one tree lookup or prefill.
 
     ``model`` is the shared cached instance for ``outcome == "fork"``
-    (fork before mutating), a private fork for ``"extend"``, and ``None``
-    for ``"miss"``.  ``matched`` counts the leading prompt tokens the
-    returned state covers.
+    (fork before mutating), a private model for ``"extend"`` (the
+    prefix-covering fork from :meth:`RadixPrefillTree.lookup`, or the
+    fully ingested state from :meth:`RadixPrefillTree.prefill`), and
+    ``None`` for a ``"miss"`` lookup.  ``matched`` counts the leading
+    prompt tokens the store already covered.  While pinned, the covering
+    snapshot will not be evicted; hand the handle back via
+    :meth:`RadixPrefillTree.release`.
     """
 
     model: LanguageModel | None
     matched: int
-    outcome: str
-    _node: "_Node | None" = field(default=None, repr=False)
-
-
-@dataclass
-class PrefillResult:
-    """A prompt fully resolved through the tree, ready to decode from.
-
-    ``model`` is frozen (tree-owned or shared); fork before decoding.
-    ``ingested`` counts the suffix tokens actually ingested by this call
-    (0 on an exact hit).  While ``pinned``, the covering node will not be
-    evicted; hand the result back via :meth:`RadixPrefillTree.release`.
-    """
-
-    model: LanguageModel
-    context: tuple[int, ...]
-    matched: int
-    ingested: int
     outcome: str
     _node: "_Node | None" = field(default=None, repr=False)
 
@@ -122,31 +140,41 @@ def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 
 class RadixPrefillTree:
-    """Thread-safe radix tree of prefilled models, bounded by resident tokens.
+    """Thread-safe radix tree of prefilled models, bounded by snapshot depth.
 
     Parameters
     ----------
     max_tokens:
-        Eviction budget: total tokens across all edge segments.  ``0``
-        builds a disabled tree (every lookup misses, deposits are
-        dropped), so callers can switch prefix caching off without
-        branching.
+        Eviction budget: the summed depth of every held snapshot.
+        Prompts longer than the whole budget are not cached.  ``0`` builds
+        a disabled tree (every lookup misses, deposits are dropped), so
+        callers can switch prefix caching off without branching.
+    spill:
+        Optional second tier (duck-typed; anything with
+        ``store(model_name, vocab_size, tokens, model)`` and
+        ``fetch(model_name, vocab_size, tokens) -> (model | None, matched)``
+        — :class:`repro.sharding.SpillStore` is the shipped
+        implementation).  Evicted snapshots are demoted into it, and
+        lookups that miss memory consult it before reporting a miss.
     """
 
-    def __init__(self, max_tokens: int = 262_144) -> None:
+    def __init__(self, max_tokens: int = 262_144, *, spill=None) -> None:
         if max_tokens < 0:
             raise ConfigError(f"max_tokens must be >= 0, got {max_tokens}")
         self.max_tokens = max_tokens
+        self.spill = spill
         self._lock = threading.Lock()
         self._roots: dict[tuple[str, int], _Node] = {}
         self._inflight: dict[tuple, threading.Event] = {}
+        # Snapshot-bearing nodes, least recently used first.
+        self._snapshots: OrderedDict[_Node, None] = OrderedDict()
         self._total_tokens = 0
-        self._tick = 0
         self._hits = 0
         self._extends = 0
         self._misses = 0
         self._evictions = 0
         self._tokens_saved = 0
+        self._spill_hits = 0
 
     @property
     def enabled(self) -> bool:
@@ -163,16 +191,11 @@ class RadixPrefillTree:
             self._roots[key] = root
         return root
 
-    def _touch(self, node: _Node) -> None:
-        self._tick += 1
-        node.tick = self._tick
-
-    def _walk(self, root: _Node, tokens: tuple[int, ...]) -> tuple[_Node, int]:
+    def _walk(self, root: _Node, tokens: tuple[int, ...]) -> _Node:
         """Deepest node whose full path is a prefix of ``tokens``.
 
-        Returns ``(node, matched)`` where ``matched == node.depth`` is the
-        number of ``tokens`` covered; divergence or a query ending mid-edge
-        stops the walk at the last fully matched node.
+        Divergence or a query ending mid-edge stops the walk at the last
+        fully matched node.
         """
         node = root
         i = 0
@@ -185,16 +208,7 @@ class RadixPrefillTree:
                 break
             node = child
             i += common
-            self._touch(node)
-        return node, i
-
-    def _best_snapshot(self, node: _Node) -> _Node | None:
-        """The nearest ancestor-or-self of ``node`` holding a snapshot."""
-        while node is not None:
-            if node.model is not None:
-                return node
-            node = node.parent
-        return None
+        return node
 
     def _insert(
         self, root: _Node, tokens: tuple[int, ...], model: LanguageModel
@@ -211,14 +225,9 @@ class RadixPrefillTree:
         while i < len(tokens):
             child = node.children.get(tokens[i])
             if child is None:
-                leaf = _Node(
-                    segment=tokens[i:], depth=node.depth + len(tokens) - i,
-                    parent=node,
-                )
+                leaf = _Node(segment=tokens[i:], depth=len(tokens), parent=node)
                 node.children[tokens[i]] = leaf
-                self._total_tokens += len(leaf.segment)
                 node = leaf
-                i = len(tokens)
                 break
             common = _common_prefix(child.segment, tokens[i:])
             if common < len(child.segment):
@@ -233,40 +242,100 @@ class RadixPrefillTree:
                 child.segment = child.segment[common:]
                 child.parent = mid
                 mid.children[child.segment[0]] = child
-                node = mid
-                i += common
-            else:
-                node = child
-                i += common
+                child = mid
+            node = child
+            i += common
         if node.model is None:
             node.model = model
-        self._touch(node)
-        self._evict()
+            self._total_tokens += node.depth
+            self._snapshots[node] = None
+        else:
+            self._snapshots.move_to_end(node)
         return node
 
-    def _evict(self) -> None:
-        """Drop least-recently-used unpinned leaves until within budget.
+    def _path(self, node: _Node) -> tuple[str, int, tuple[int, ...]]:
+        """``(model_name, vocab_size, tokens)`` of the path ending at ``node``."""
+        segments = []
+        while node.parent is not None:
+            segments.append(node.segment)
+            node = node.parent
+        name, vocab = next(key for key, root in self._roots.items() if root is node)
+        return name, vocab, tuple(t for segment in reversed(segments) for t in segment)
 
-        A pinned node protects itself only; interior nodes become leaves
-        (and thus evictable) as their subtrees are pruned.
+    def _evict(self) -> list[tuple[str, int, tuple[int, ...], LanguageModel]]:
+        """Drop least-recently-used unpinned snapshots until within budget.
+
+        Nodes left with neither a snapshot nor children are pruned.
+        Returns the dropped snapshots with their paths when a spill tier
+        is attached, for the caller to demote outside the lock.
         """
-        while self._total_tokens > self.max_tokens:
-            victim: _Node | None = None
-            for root in self._roots.values():
-                stack = list(root.children.values())
-                while stack:
-                    node = stack.pop()
-                    if node.children:
-                        stack.extend(node.children.values())
-                    elif node.refs == 0 and (
-                        victim is None or node.tick < victim.tick
-                    ):
-                        victim = node
-            if victim is None:
-                return
-            victim.parent.children.pop(victim.segment[0])
-            self._total_tokens -= len(victim.segment)
+        excess = self._total_tokens - self.max_tokens
+        victims = []
+        for node in self._snapshots:
+            if excess <= 0:
+                break
+            if node.refs == 0:
+                victims.append(node)
+                excess -= node.depth
+        demoted = []
+        for node in victims:
+            if self.spill is not None:
+                demoted.append((*self._path(node), node.model))
+            del self._snapshots[node]
+            self._total_tokens -= node.depth
             self._evictions += 1
+            node.model = None
+            while node.parent is not None and node.model is None and not node.children:
+                del node.parent.children[node.segment[0]]
+                node = node.parent
+        return demoted
+
+    def _deposit(
+        self,
+        model_name: str,
+        vocab_size: int,
+        prompt: tuple[int, ...],
+        model: LanguageModel,
+        pin: bool = False,
+    ) -> _Node | None:
+        """:meth:`insert` for a normalised prompt; returns the node if pinned.
+
+        The pin is taken before eviction runs, so a pinned deposit always
+        survives its own insert.
+        """
+        if not self.enabled or not prompt or len(prompt) > self.max_tokens:
+            return None
+        with self._lock:
+            node = self._insert(self._root(model_name, vocab_size), prompt, model)
+            if pin:
+                node.refs += 1
+            demoted = self._evict()
+        for name, vocab, tokens, evicted in demoted:
+            self.spill.store(name, vocab, tokens, evicted)
+        return node if pin else None
+
+    def _fetch_spilled(
+        self, model_name: str, vocab_size: int, prompt: tuple[int, ...], pin: bool
+    ) -> RadixLookup:
+        """Resolve a memory miss against the spill tier, promoting a hit."""
+        loaded, matched = self.spill.fetch(model_name, vocab_size, prompt)
+        if loaded is None:
+            with self._lock:
+                self._misses += 1
+            return RadixLookup(model=None, matched=0, outcome="miss")
+        outcome = "fork" if matched == len(prompt) else "extend"
+        # Promote: the next lookup for this prefix resolves from memory.
+        node = self._deposit(
+            model_name, vocab_size, prompt[:matched], loaded.fork(), pin=pin
+        )
+        with self._lock:
+            if outcome == "fork":
+                self._hits += 1
+            else:
+                self._extends += 1
+            self._spill_hits += 1
+            self._tokens_saved += matched
+        return RadixLookup(model=loaded, matched=matched, outcome=outcome, _node=node)
 
     # -- public API ------------------------------------------------------------
 
@@ -279,40 +348,44 @@ class RadixPrefillTree:
     ) -> RadixLookup:
         """Resolve a prompt to the deepest cached snapshot covering a prefix.
 
-        Outcomes mirror the flat cache: ``"fork"`` (a snapshot covers the
-        whole prompt; the shared instance is returned), ``"extend"`` (a
-        strict prefix is covered; a private fork is returned) or
-        ``"miss"``.  ``pin=True`` increments the covering node's refcount
-        so eviction skips it until :meth:`release` is called.
+        Outcomes: ``"fork"`` (a snapshot covers the whole prompt; the
+        shared instance is returned), ``"extend"`` (a strict prefix is
+        covered; a private fork is returned), otherwise the spill tier
+        when one is attached (a spill hit is promoted back into memory),
+        otherwise ``"miss"``.  ``pin=True`` increments the covering node's
+        refcount so eviction skips it until :meth:`release` is called.
         """
         prompt = tuple(int(t) for t in tokens)
         with self._lock:
             if not self.enabled:
                 self._misses += 1
                 return RadixLookup(model=None, matched=0, outcome="miss")
-            node, _ = self._walk(self._root(model_name, vocab_size), prompt)
-            best = self._best_snapshot(node)
-            if best is None or best.depth == 0:
+            best = self._walk(self._root(model_name, vocab_size), prompt)
+            while best is not None and best.model is None:
+                best = best.parent
+            if best is not None:
+                self._snapshots.move_to_end(best)
+                if pin:
+                    best.refs += 1
+                self._tokens_saved += best.depth
+                handle = best if pin else None
+                if best.depth == len(prompt):
+                    self._hits += 1
+                    return RadixLookup(
+                        model=best.model, matched=best.depth, outcome="fork",
+                        _node=handle,
+                    )
+                self._extends += 1
+                parent = best.model
+            elif self.spill is None:
                 self._misses += 1
                 return RadixLookup(model=None, matched=0, outcome="miss")
-            self._touch(best)
-            if pin:
-                best.refs += 1
-            if best.depth == len(prompt):
-                self._hits += 1
-                self._tokens_saved += best.depth
-                return RadixLookup(
-                    model=best.model, matched=best.depth, outcome="fork",
-                    _node=best if pin else None,
-                )
-            self._extends += 1
-            self._tokens_saved += best.depth
-            parent = best.model
+        if best is None:
+            return self._fetch_spilled(model_name, vocab_size, prompt, pin)
         # Fork outside the lock: snapshots are frozen, so concurrent forks
         # are pure reads and fork cost must not serialise readers.
         return RadixLookup(
-            model=parent.fork(), matched=best.depth, outcome="extend",
-            _node=best if pin else None,
+            model=parent.fork(), matched=best.depth, outcome="extend", _node=handle
         )
 
     def insert(
@@ -325,13 +398,11 @@ class RadixPrefillTree:
         """Deposit a frozen model conditioned on exactly ``tokens``.
 
         Takes ownership: the caller must not advance ``model`` afterwards.
-        Prompts longer than the whole budget are not cached at all.
+        Empty prompts and prompts longer than the whole budget are not
+        cached at all.  With a spill tier attached, snapshots this deposit
+        evicts are demoted to it (serialized outside the lock).
         """
-        prompt = tuple(int(t) for t in tokens)
-        if not self.enabled or len(prompt) > self.max_tokens:
-            return
-        with self._lock:
-            self._insert(self._root(model_name, vocab_size), prompt, model)
+        self._deposit(model_name, vocab_size, tuple(int(t) for t in tokens), model)
 
     def prefill(
         self,
@@ -340,17 +411,17 @@ class RadixPrefillTree:
         tokens: Sequence[int],
         factory: Callable[[], LanguageModel],
         pin: bool = False,
-    ) -> PrefillResult:
+    ) -> RadixLookup:
         """Resolve a prompt end to end: lookup, ingest the gap, deposit.
 
-        The one-call ingest driver the continuous scheduler uses.  An
-        exact hit returns the shared snapshot with nothing ingested; an
+        An exact hit returns the shared snapshot with nothing ingested; an
         extend forks the deepest covering snapshot and advances only the
         suffix; a miss builds a fresh model via ``factory``.  On the way,
-        snapshots are deposited at doubling
-        :func:`~repro.llm.state_cache.checkpoint_lengths` boundaries past
-        the matched prefix, plus the full prompt — which is what lets
-        later *shorter* or *diverging* prompts find a usable prefix.
+        snapshots are deposited at doubling :func:`checkpoint_lengths`
+        boundaries past the matched prefix, plus the full prompt — which
+        is what lets later *shorter* or *diverging* prompts find a usable
+        prefix.  The returned handle's ``model`` covers the whole prompt
+        and ``matched`` counts the tokens that were *not* ingested.
 
         Identical prompts in flight at once are **single-flighted**: the
         first caller ingests while the rest wait on its completion, then
@@ -359,20 +430,22 @@ class RadixPrefillTree:
 
         The returned model is frozen (fork before decoding).  With
         ``pin=True`` the covering node is refcounted until
-        :meth:`release`.
+        :meth:`release`; if ingest raises, the pin is dropped before the
+        error propagates.
         """
         prompt = tuple(int(t) for t in tokens)
+        if not self.enabled:
+            with self._lock:
+                self._misses += 1
+            model = factory()
+            model.reset(prompt)
+            return RadixLookup(model=model, matched=0, outcome="miss")
         key = (model_name, int(vocab_size), prompt)
         leader = False
         while True:
             lookup = self.lookup(model_name, vocab_size, prompt, pin=pin)
             if lookup.outcome == "fork":
-                return PrefillResult(
-                    model=lookup.model, context=prompt, matched=lookup.matched,
-                    ingested=0, outcome="fork", _node=lookup._node,
-                )
-            if not self.enabled:
-                break
+                return lookup
             with self._lock:
                 pending = self._inflight.get(key)
                 if pending is None:
@@ -382,51 +455,48 @@ class RadixPrefillTree:
                 break
             # Another thread is ingesting this exact prompt: drop any pin
             # from the stale lookup, wait, then re-resolve (normally a fork).
-            if pin:
-                self.release(lookup)
+            self.release(lookup)
             pending.wait()
         try:
             if lookup.outcome == "extend":
-                model = lookup.model  # already a private fork
+                model = lookup.model  # a private fork
                 cursor = lookup.matched
             else:
                 model = factory()
                 cursor = 0
-            boundaries = [
-                b for b in checkpoint_lengths(len(prompt)) if b > cursor
-            ] + [len(prompt)]
-            for boundary in boundaries:
+            node = lookup._node
+            boundaries = [b for b in checkpoint_lengths(len(prompt)) if b > cursor]
+            for boundary in [*boundaries, len(prompt)]:
                 if cursor == 0:
                     model.reset(prompt[:boundary])
                 else:
                     model.extend(prompt[cursor:boundary])
                 cursor = boundary
-                deposit = model if boundary == len(prompt) else model.fork()
-                self.insert(model_name, vocab_size, prompt[:boundary], deposit)
-            node = lookup._node
-            if pin and node is None:
-                # Miss path: pin the full-prompt node we just deposited.
-                with self._lock:
-                    if self.enabled:
-                        walked, matched = self._walk(
-                            self._root(model_name, vocab_size), prompt
-                        )
-                        if matched == len(prompt) and walked.depth == len(prompt):
-                            walked.refs += 1
-                            node = walked
-            return PrefillResult(
-                model=model, context=prompt, matched=lookup.matched,
-                ingested=len(prompt) - lookup.matched, outcome=lookup.outcome,
-                _node=node,
-            )
+                if boundary < len(prompt):
+                    self._deposit(
+                        model_name, vocab_size, prompt[:boundary], model.fork()
+                    )
+                else:
+                    # Miss path: pin the full-prompt node being deposited.
+                    pinned = self._deposit(
+                        model_name, vocab_size, prompt, model,
+                        pin=pin and node is None,
+                    )
+                    node = node if pinned is None else pinned
+        except BaseException:
+            self.release(lookup)
+            raise
         finally:
             if leader:
                 with self._lock:
                     pending = self._inflight.pop(key, None)
                 if pending is not None:
                     pending.set()
+        return RadixLookup(
+            model=model, matched=lookup.matched, outcome=lookup.outcome, _node=node
+        )
 
-    def release(self, handle: PrefillResult | RadixLookup) -> None:
+    def release(self, handle: RadixLookup) -> None:
         """Drop the pin taken by ``lookup(pin=True)`` / ``prefill(pin=True)``."""
         node = handle._node
         if node is None:
@@ -440,39 +510,28 @@ class RadixPrefillTree:
         """Drop every snapshot and node (statistics are kept)."""
         with self._lock:
             self._roots.clear()
+            self._snapshots.clear()
             self._total_tokens = 0
 
     def __len__(self) -> int:
         """Number of snapshot-bearing nodes across all namespaces."""
         with self._lock:
-            count = 0
-            for root in self._roots.values():
-                stack = [root]
-                while stack:
-                    node = stack.pop()
-                    if node.model is not None:
-                        count += 1
-                    stack.extend(node.children.values())
-            return count
+            return len(self._snapshots)
 
     @property
     def stats(self) -> dict:
         """Lookup/eviction accounting plus the prefill tokens saved."""
         with self._lock:
             nodes = 0
-            snapshots = 0
-            for root in self._roots.values():
-                stack = [root]
-                while stack:
-                    node = stack.pop()
-                    nodes += 1
-                    if node.model is not None:
-                        snapshots += 1
-                    stack.extend(node.children.values())
+            stack = list(self._roots.values())
+            while stack:
+                node = stack.pop()
+                nodes += 1
+                stack.extend(node.children.values())
             lookups = self._hits + self._extends + self._misses
             return {
                 "nodes": nodes,
-                "snapshots": snapshots,
+                "snapshots": len(self._snapshots),
                 "resident_tokens": self._total_tokens,
                 "max_tokens": self.max_tokens,
                 "hits": self._hits,
@@ -480,6 +539,7 @@ class RadixPrefillTree:
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "tokens_saved": self._tokens_saved,
+                "spill_hits": self._spill_hits,
                 "hit_rate": (
                     (self._hits + self._extends) / lookups if lookups else 0.0
                 ),

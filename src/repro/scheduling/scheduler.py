@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.exceptions import GenerationError
 from repro.llm.constraints import Constraint
-from repro.llm.interface import GenerationResult, LanguageModel
+from repro.llm.interface import GenerationResult
 from repro.llm.batch import _Group, _Stream, decode_step
 from repro.llm.sampling import mask_for_ids
 from repro.llm.simulated import SimulatedLLM
@@ -219,10 +219,11 @@ class ContinuousScheduler:
         """Join the shared loop with one request's stream ensemble.
 
         Mirrors :meth:`~repro.llm.simulated.SimulatedLLM.generate_batch`:
-        prompt ingest happens here on the caller's thread (through the
-        radix tree when one is attached, depositing checkpoints and
-        emitting the same ``llm:ingest`` span shape), then the streams are
-        enqueued and decoded by the loop thread.  Under the same RNGs the
+        prompt ingest happens here on the caller's thread through
+        :meth:`~repro.llm.simulated.SimulatedLLM.prefill` (resolved against
+        the radix tree when one is attached, whose covering snapshot stays
+        pinned until the request retires), then the streams are enqueued
+        and decoded by the loop thread.  Under the same RNGs the
         returned results are bit-identical to a standalone
         ``generate_batch`` call.  ``stop`` is polled between shared steps
         from the loop thread, so it must be thread-safe (deadlines are).
@@ -240,41 +241,23 @@ class ContinuousScheduler:
         if any(budget < 0 for budget in budgets):
             raise GenerationError("max_new_tokens must be >= 0 for every stream")
         tracer = self._tracer if tracer is None else tracer
-        prompt = tuple(int(t) for t in context)
-        pin = None
-        if self.prefill_tree is not None and self.prefill_tree.enabled:
-            with tracer.span(
-                "llm:ingest", context_tokens=len(prompt), ingest="radix"
-            ) as span:
-                pin = self.prefill_tree.prefill(
-                    llm.name,
-                    llm.vocab_size,
-                    prompt,
-                    lambda: llm.spec.factory(llm.vocab_size),
-                    pin=True,
-                )
-                if span.is_recording:
-                    span.set_attribute("ingest", pin.outcome)
-                    span.set_attribute("ingested_tokens", pin.ingested)
-            llm._sleep(pin.ingested, 0)
-            model, ingest, ingested = pin.model, pin.outcome, pin.ingested
-        else:
-            session = llm.prefill(prompt, tracer=tracer)
-            model, ingest, ingested = (
-                session.model,
-                session.outcome,
-                session.ingested_tokens,
-            )
+        session = llm.prefill(
+            context, tracer=tracer, state_cache=self.prefill_tree, pin=True
+        )
         handle = ScheduledDecode(
-            batch_width=len(rngs), ingest=ingest, ingested_tokens=ingested
+            batch_width=len(rngs),
+            ingest=session.outcome,
+            ingested_tokens=session.ingested_tokens,
         )
         streams = [
             _Stream(i, rng, budget)
             for i, (rng, budget) in enumerate(zip(rngs, budgets))
         ]
         # Fork the frozen prefill state once, exactly like BatchedDecoder's
-        # root group — the tree (or cache) keeps the shared original.
-        root = _Group(model=model.fork(), streams=streams, tokens=[], log_probs=[])
+        # root group — the tree, when attached, keeps the shared original.
+        root = _Group(
+            model=session.model.fork(), streams=streams, tokens=[], log_probs=[]
+        )
         job = _Job(
             handle=handle,
             root=root,
@@ -286,12 +269,14 @@ class ContinuousScheduler:
             top_p=llm.spec.top_p,
             stop=stop,
             vocab_size=llm.vocab_size,
-            pin=pin,
+            pin=session.pin,
         )
         if self._metrics is not None:
             self._metrics.counter("sched_requests_total").inc()
         with self._cond:
             if self._closed:
+                if job.pin is not None:
+                    self.prefill_tree.release(job.pin)
                 raise GenerationError("scheduler is closed")
             self._pending.append(job)
             if self._metrics is not None:
@@ -342,7 +327,7 @@ class ContinuousScheduler:
         handle._error = error
         if job in self._resident:
             self._resident.remove(job)
-        if job.pin is not None and self.prefill_tree is not None:
+        if job.pin is not None:
             self.prefill_tree.release(job.pin)
             job.pin = None
         self._completed += 1

@@ -6,10 +6,11 @@ pool, and each request's ``num_samples`` constrained continuations decode
 in lockstep, either through one :class:`~repro.llm.batch.BatchedDecoder`
 pass per request (``execution="batched"``, the default) or by joining the
 engine's *shared* cross-request decode loop (``execution="continuous"``, a
-:class:`~repro.scheduling.ContinuousScheduler` backed by a
-:class:`~repro.scheduling.RadixPrefillTree` so requests with overlapping
-histories dedupe their prompt ingest — see
-``benchmarks/bench_scheduler.py``).  The serving policies — result cache,
+:class:`~repro.scheduling.ContinuousScheduler`; see
+``benchmarks/bench_scheduler.py``).  Both executions resolve prompts
+through one :class:`~repro.scheduling.RadixPrefillTree`, so requests with
+repeated or overlapping histories dedupe their prompt ingest whichever
+execution they ask for.  The serving policies — result cache,
 deadline and retry — wrap the pipeline without touching its numerics:
 
 * **Retry** is per request.  A forecast is a pure function of its spec and
@@ -46,7 +47,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from repro.core.forecaster import MultiCastForecaster
 from repro.core.spec import ForecastSpec
 from repro.exceptions import ConfigError, ReproError
-from repro.llm.state_cache import IngestStateCache
 from repro.observability.ledger import RunLedger
 from repro.observability.spans import NULL_TRACER, Span
 from repro.scheduling import ContinuousScheduler, RadixPrefillTree
@@ -73,14 +73,6 @@ class ForecastEngine:
     cache:
         Result cache; defaults to a 128-entry LRU.  Pass
         ``ForecastCache(max_entries=0)`` to disable caching entirely.
-    ingest_cache:
-        Shared :class:`~repro.llm.state_cache.IngestStateCache` reusing
-        prompt-ingest state across requests: repeated prompts fork a cached
-        prefill, extended histories (rolling windows) advance only the new
-        suffix.  Defaults to an enabled cache; pass
-        ``IngestStateCache(max_tokens=0)`` to disable.  Unlike the result
-        cache it never short-circuits sampling, so it also accelerates
-        requests with different seeds over the same prompt.
     retry:
         Per-request retry policy for transient
         :class:`~repro.exceptions.GenerationError` failures.
@@ -96,10 +88,14 @@ class ForecastEngine:
         requests.  Requests beyond the cap queue FIFO (the head is always
         admitted when nothing is resident, so wide requests still run).
     prefill_tree:
-        Shared :class:`~repro.scheduling.RadixPrefillTree` deduplicating
-        prompt ingest across continuous requests; defaults to an enabled
-        tree.  Pass ``RadixPrefillTree(max_tokens=0)`` to disable radix
-        caching (continuous requests then fall back to ``ingest_cache``).
+        Shared :class:`~repro.scheduling.RadixPrefillTree` reusing
+        prompt-ingest state across requests of both executions: repeated
+        prompts fork a stored prefill, extended histories (rolling
+        windows) and prompts sharing a prefix advance only their own
+        suffix.  Defaults to an enabled tree; pass
+        ``RadixPrefillTree(max_tokens=0)`` to disable.  Unlike the result
+        cache it never short-circuits sampling, so it also accelerates
+        requests with different seeds over the same prompt.
     tracer:
         Optional :class:`~repro.observability.Tracer`; defaults to the
         no-op tracer (zero overhead, bit-identical results).  When set,
@@ -121,7 +117,6 @@ class ForecastEngine:
         self,
         *,
         cache: ForecastCache | None = None,
-        ingest_cache: IngestStateCache | None = None,
         retry: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
         max_concurrent_requests: int = 2,
@@ -141,9 +136,6 @@ class ForecastEngine:
                 f"max_resident_streams must be >= 1, got {max_resident_streams}"
             )
         self.cache = ForecastCache() if cache is None else cache
-        self.ingest_cache = (
-            IngestStateCache() if ingest_cache is None else ingest_cache
-        )
         self.retry = retry or RetryPolicy()
         self.metrics = metrics or MetricsRegistry()
         self.tracer = NULL_TRACER if tracer is None else tracer
@@ -227,7 +219,6 @@ class ForecastEngine:
         """Current metrics, including live cache and scheduler statistics."""
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = {"type": "cache", **self.cache.stats}
-        snapshot["ingest_cache"] = {"type": "cache", **self.ingest_cache.stats}
         snapshot["prefill_tree"] = {"type": "cache", **self.prefill_tree.stats}
         if self._scheduler is not None:
             snapshot["scheduler"] = {"type": "scheduler", **self._scheduler.stats}
@@ -332,7 +323,7 @@ class ForecastEngine:
         forecaster = MultiCastForecaster(
             request.config,
             tracer=self.tracer,
-            state_cache=self.ingest_cache,
+            state_cache=self.prefill_tree,
             stop=lambda: deadline.expired,
             scheduler=(
                 self._scheduler_instance()

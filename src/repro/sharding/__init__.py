@@ -15,12 +15,12 @@ package scales *out* instead of up:
 * :func:`rendezvous_shard` / :func:`rendezvous_ranking` — cache-affine
   HRW routing on :func:`~repro.serving.cache.forecast_digest` prefixes,
   so repeated specs keep landing on their cache-warm worker.
-* :class:`SpillStore` — the on-disk tier of the two-tier ingest store: a
+* :class:`SpillStore` — the on-disk tier of the prefix-state store: a
   shared, size-bounded, corruption-tolerant directory of serialized
   prefill checkpoints that in-memory
-  :class:`~repro.llm.state_cache.IngestStateCache` eviction demotes into,
+  :class:`~repro.scheduling.RadixPrefillTree` eviction demotes into,
   letting prefill state survive worker restarts and migrate across
-  shards.
+  shards, for batched and continuous requests alike.
 
 See ``docs/SERVING.md`` ("Scaling out") for sizing and placement
 guidance, and ``benchmarks/bench_loadtest.py`` for the standing

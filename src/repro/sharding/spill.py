@@ -1,6 +1,6 @@
-"""The on-disk spill tier of the two-tier ingest store.
+"""The on-disk spill tier of the prefix-state store.
 
-A worker's in-memory :class:`~repro.llm.state_cache.IngestStateCache` is
+A worker's in-memory :class:`~repro.scheduling.RadixPrefillTree` is
 bounded and process-private: LRU eviction throws prefill work away, and a
 worker restart loses everything.  :class:`SpillStore` is the second tier
 — a shared directory of serialized prefilled-model checkpoints that
@@ -15,7 +15,7 @@ worker restart loses everything.  :class:`SpillStore` is the second tier
   with recency tracked by file mtime — loads refresh it.
 
 Lookups never scan the directory: deposits only ever happen at the full
-prompt and at :func:`~repro.llm.state_cache.checkpoint_lengths` doubling
+prompt and at :func:`~repro.scheduling.radix.checkpoint_lengths` doubling
 boundaries, so :meth:`fetch` probes the exact key plus O(log n) prefix
 keys by content digest and stops at the longest hit.
 
@@ -39,7 +39,7 @@ from pathlib import Path
 
 from repro.exceptions import ConfigError
 from repro.llm.interface import LanguageModel
-from repro.llm.state_cache import checkpoint_lengths
+from repro.scheduling.radix import checkpoint_lengths
 
 __all__ = ["SpillStore"]
 

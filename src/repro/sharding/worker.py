@@ -6,8 +6,8 @@ function so the ``spawn`` start method (the safe default in a process
 that also runs supervisor threads) can import and launch it.  A worker
 owns a complete single-process stack: its own
 :class:`~repro.serving.engine.ForecastEngine` (request pool, result
-cache, :class:`~repro.scheduling.ContinuousScheduler`, radix prefill
-tree) over its own :class:`~repro.llm.state_cache.IngestStateCache`,
+cache, :class:`~repro.scheduling.ContinuousScheduler`) over its own
+:class:`~repro.scheduling.RadixPrefillTree`, serving both executions and
 backed by the *shared* :class:`~repro.sharding.SpillStore` directory so
 prefill state evicted here outlives this process and can warm any other
 shard.
@@ -69,7 +69,7 @@ class _CollectingLedger(RunLedger):
 
 def _build_engine(options: dict):
     """Construct the worker's private serving stack from picklable options."""
-    from repro.llm.state_cache import IngestStateCache
+    from repro.scheduling import RadixPrefillTree
     from repro.serving.cache import ForecastCache
     from repro.serving.engine import ForecastEngine
     from repro.sharding.spill import SpillStore
@@ -83,7 +83,7 @@ def _build_engine(options: dict):
     ledger = _CollectingLedger()
     engine = ForecastEngine(
         cache=ForecastCache(max_entries=int(options.get("result_cache_entries", 128))),
-        ingest_cache=IngestStateCache(
+        prefill_tree=RadixPrefillTree(
             max_tokens=int(options.get("ingest_cache_tokens", 262_144)),
             spill=spill,
         ),

@@ -24,13 +24,13 @@ from repro.core import ForecastSpec, MultiCastForecaster, SaxConfig
 from repro.exceptions import ConfigError, DataError, GenerationError
 from repro.llm import (
     BatchedDecoder,
-    IngestStateCache,
     SetConstraint,
     available_models,
     child_seeds,
     get_model,
 )
 from repro.observability import read_ledger
+from repro.scheduling import RadixPrefillTree
 from repro.serving import ForecastEngine, ForecastRequest, load_manifest
 
 EXECUTIONS = ("batched", "continuous")
@@ -75,7 +75,7 @@ class TestForecasterEquivalence:
         reference = MultiCastForecaster().forecast(
             spec.replace(execution="continuous")
         )
-        cache = IngestStateCache()
+        cache = RadixPrefillTree()
         cold = MultiCastForecaster(state_cache=cache).forecast(spec)
         warm = MultiCastForecaster(state_cache=cache).forecast(spec)
         assert cold.metadata["ingest"] == "miss"

@@ -1,13 +1,15 @@
-"""Shared-prefix ingest caching: cache semantics, bit-identity, wiring.
+"""Shared-prefix ingest caching: store semantics, bit-identity, wiring.
 
 Three layers are covered:
 
-* :class:`~repro.llm.state_cache.IngestStateCache` unit behaviour —
-  fork / extend / miss resolution, LRU-by-token eviction, thread safety,
-  and the ``max_tokens=0`` disabled mode;
+* the whole-prompt contract of the prefix-state store
+  (:class:`~repro.scheduling.RadixPrefillTree`) — fork / extend / miss
+  resolution, LRU eviction under the token budget, thread safety, the
+  ``max_tokens=0`` disabled mode, and checkpoints that serve shorter
+  queries (tree-specific behaviour lives in ``tests/test_scheduling.py``);
 * the regression that matters most: with a fixed seed, forecasts are
-  **bit-identical** with and without ingest caching (and with and without
-  shared prefill), across multiplexing schemes and both raw/SAX paths;
+  **bit-identical** with and without ingest caching, across multiplexing
+  schemes and both raw/SAX paths;
 * wiring: engine counters and ledger field, and the rolling-origin
   backtest's incremental prompt extension.
 """
@@ -25,12 +27,10 @@ from repro.core import (
 )
 from repro.data import Dataset
 from repro.evaluation import rolling_origin_evaluation
-from repro.exceptions import ConfigError, GenerationError
-from repro.llm import (
-    IngestStateCache,
-    PPMLanguageModel,
-    get_model,
-)
+from repro.exceptions import GenerationError
+from repro.llm import PPMLanguageModel, get_model
+from repro.scheduling import RadixPrefillTree
+from repro.scheduling.radix import checkpoint_lengths
 
 RNG = np.random.default_rng(42)
 # Extremes pinned at the very start so every backtest window's scaler fit
@@ -52,13 +52,15 @@ def _prefilled(tokens, vocab_size=5):
 
 
 class TestIngestStateCache:
+    """The flat whole-prompt cache's contract, now served by the tree."""
+
     def test_miss_then_exact_hit_forks(self):
-        cache = IngestStateCache()
+        tree = RadixPrefillTree()
         prompt = [0, 1, 2, 3] * 5
-        lookup = cache.get("m", 5, prompt)
+        lookup = tree.lookup("m", 5, prompt)
         assert lookup.outcome == "miss" and lookup.model is None
-        cache.put("m", 5, prompt, _prefilled(prompt))
-        hit = cache.get("m", 5, prompt)
+        tree.insert("m", 5, prompt, _prefilled(prompt))
+        hit = tree.lookup("m", 5, prompt)
         assert hit.outcome == "fork"
         assert hit.matched == len(prompt)
         np.testing.assert_array_equal(
@@ -67,12 +69,12 @@ class TestIngestStateCache:
         )
 
     def test_strict_prefix_extends_with_private_fork(self):
-        cache = IngestStateCache()
+        tree = RadixPrefillTree()
         prefix = [0, 1, 2, 3] * 5
         cached = _prefilled(prefix)
-        cache.put("m", 5, prefix, cached)
+        tree.insert("m", 5, prefix, cached)
         longer = prefix + [1, 2, 3, 0]
-        lookup = cache.get("m", 5, longer)
+        lookup = tree.lookup("m", 5, longer)
         assert lookup.outcome == "extend"
         assert lookup.matched == len(prefix)
         assert lookup.model is not cached  # a private fork, safe to advance
@@ -84,67 +86,59 @@ class TestIngestStateCache:
         )
 
     def test_longest_prefix_wins(self):
-        cache = IngestStateCache()
+        tree = RadixPrefillTree()
         short, long = [0, 1] * 3, [0, 1] * 6
-        cache.put("m", 5, short, _prefilled(short))
-        cache.put("m", 5, long, _prefilled(long))
-        lookup = cache.get("m", 5, [0, 1] * 9)
+        tree.insert("m", 5, short, _prefilled(short))
+        tree.insert("m", 5, long, _prefilled(long))
+        lookup = tree.lookup("m", 5, [0, 1] * 9)
         assert lookup.outcome == "extend" and lookup.matched == len(long)
 
-    def test_namespaced_by_model_and_vocab(self):
-        cache = IngestStateCache()
-        prompt = [0, 1, 2] * 4
-        cache.put("m", 5, prompt, _prefilled(prompt))
-        assert cache.get("other", 5, prompt).outcome == "miss"
-        assert cache.get("m", 7, prompt).outcome == "miss"
-        assert cache.get("m", 5, prompt).outcome == "fork"
-
     def test_identical_prompt_is_not_an_extend(self):
-        cache = IngestStateCache()
+        tree = RadixPrefillTree()
         prompt = [0, 1, 2] * 4
-        cache.put("m", 5, prompt, _prefilled(prompt))
+        tree.insert("m", 5, prompt, _prefilled(prompt))
         # Equal length is not a *strict* prefix: resolves as exact hit only.
-        assert cache.get("m", 5, list(prompt)).outcome == "fork"
+        assert tree.lookup("m", 5, list(prompt)).outcome == "fork"
 
     def test_lru_eviction_by_token_count(self):
-        cache = IngestStateCache(max_tokens=25)
+        tree = RadixPrefillTree(max_tokens=25)
         a, b, c = [0] * 10, [1] * 10, [2] * 10
-        cache.put("m", 5, a, _prefilled(a))
-        cache.put("m", 5, b, _prefilled(b))
-        assert cache.get("m", 5, a).outcome == "fork"  # refresh a
-        cache.put("m", 5, c, _prefilled(c))  # 30 > 25: evicts LRU = b
-        assert cache.get("m", 5, b).outcome == "miss"
-        assert cache.get("m", 5, a).outcome == "fork"
-        assert cache.get("m", 5, c).outcome == "fork"
-        assert cache.stats["evictions"] == 1
-        assert cache.stats["total_tokens"] == 20
+        tree.insert("m", 5, a, _prefilled(a))
+        tree.insert("m", 5, b, _prefilled(b))
+        assert tree.lookup("m", 5, a).outcome == "fork"  # refresh a
+        tree.insert("m", 5, c, _prefilled(c))  # 30 > 25: evicts LRU = b
+        assert tree.lookup("m", 5, b).outcome == "miss"
+        assert tree.lookup("m", 5, a).outcome == "fork"
+        assert tree.lookup("m", 5, c).outcome == "fork"
+        assert tree.stats["evictions"] == 1
+        assert tree.stats["resident_tokens"] == 20
 
     def test_oversized_prompt_is_not_cached(self):
-        cache = IngestStateCache(max_tokens=5)
+        tree = RadixPrefillTree(max_tokens=5)
         prompt = [0] * 10
-        cache.put("m", 5, prompt, _prefilled(prompt))
-        assert len(cache) == 0
+        tree.insert("m", 5, prompt, _prefilled(prompt))
+        assert len(tree) == 0
+        # prefill still ingests it, but deposits only what fits.
+        result = tree.prefill("m", 5, prompt, lambda: PPMLanguageModel(5, max_order=4))
+        assert result.outcome == "miss"
+        assert len(tree) == 0
 
     def test_disabled_cache_is_a_no_op(self):
-        cache = IngestStateCache(max_tokens=0)
-        assert not cache.enabled
+        tree = RadixPrefillTree(max_tokens=0)
+        assert not tree.enabled
         prompt = [0, 1] * 4
-        cache.put("m", 5, prompt, _prefilled(prompt))
-        assert cache.get("m", 5, prompt).outcome == "miss"
-        assert len(cache) == 0
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ConfigError, match="max_tokens"):
-            IngestStateCache(max_tokens=-1)
+        tree.insert("m", 5, prompt, _prefilled(prompt))
+        assert tree.lookup("m", 5, prompt).outcome == "miss"
+        assert len(tree) == 0
 
     def test_stats_track_hits_extends_misses_and_savings(self):
-        cache = IngestStateCache()
+        tree = RadixPrefillTree()
         prompt = [0, 1, 2, 3] * 3
-        cache.get("m", 5, prompt)
-        cache.put("m", 5, prompt, _prefilled(prompt))
-        cache.get("m", 5, prompt)
-        cache.get("m", 5, prompt + [0, 1])
-        stats = cache.stats
+        tree.lookup("m", 5, prompt)
+        tree.insert("m", 5, prompt, _prefilled(prompt))
+        tree.lookup("m", 5, prompt)
+        tree.lookup("m", 5, prompt + [0, 1])
+        stats = tree.stats
         assert stats["misses"] == 1
         assert stats["hits"] == 1
         assert stats["extends"] == 1
@@ -152,26 +146,26 @@ class TestIngestStateCache:
         assert stats["hit_rate"] == pytest.approx(2 / 3)
 
     def test_clear_drops_entries_keeps_stats(self):
-        cache = IngestStateCache()
+        tree = RadixPrefillTree()
         prompt = [0, 1] * 4
-        cache.put("m", 5, prompt, _prefilled(prompt))
-        cache.get("m", 5, prompt)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats["hits"] == 1
-        assert cache.get("m", 5, prompt).outcome == "miss"
+        tree.insert("m", 5, prompt, _prefilled(prompt))
+        tree.lookup("m", 5, prompt)
+        tree.clear()
+        assert len(tree) == 0
+        assert tree.stats["hits"] == 1
+        assert tree.lookup("m", 5, prompt).outcome == "miss"
 
     def test_concurrent_forks_of_a_shared_entry_are_safe(self):
-        cache = IngestStateCache()
+        tree = RadixPrefillTree()
         prompt = [0, 1, 2, 3, 2, 1] * 8
-        cache.put("m", 5, prompt, _prefilled(prompt))
+        tree.insert("m", 5, prompt, _prefilled(prompt))
         expected = _prefilled(prompt).next_distribution()
         errors = []
 
         def worker(seed):
             try:
                 for _ in range(10):
-                    lookup = cache.get("m", 5, prompt)
+                    lookup = tree.lookup("m", 5, prompt)
                     fork = lookup.model.fork()
                     fork.decode(8, np.random.default_rng(seed))
                     np.testing.assert_array_equal(
@@ -187,7 +181,7 @@ class TestIngestStateCache:
             t.join()
         assert not errors
         np.testing.assert_array_equal(
-            cache.get("m", 5, prompt).model.next_distribution(), expected
+            tree.lookup("m", 5, prompt).model.next_distribution(), expected
         )
 
 
@@ -203,17 +197,17 @@ class TestSimulatedPrefill:
         assert a.tokens == b.tokens and a.log_probs == b.log_probs
 
     def test_prefill_uses_and_feeds_the_cache(self):
-        cache = IngestStateCache()
-        llm = get_model("llama2-7b-sim", vocab_size=11, state_cache=cache)
+        tree = RadixPrefillTree()
+        llm = get_model("llama2-7b-sim", vocab_size=11)
         prompt = [0, 1, 2, 10] * 8
-        assert llm.prefill(prompt).outcome == "miss"
-        again = llm.prefill(prompt)
+        assert llm.prefill(prompt, state_cache=tree).outcome == "miss"
+        again = llm.prefill(prompt, state_cache=tree)
         assert again.outcome == "fork" and again.ingested_tokens == 0
-        extended = llm.prefill(prompt + [3, 4, 5, 10])
+        extended = llm.prefill(prompt + [3, 4, 5, 10], state_cache=tree)
         assert extended.outcome == "extend"
         assert extended.ingested_tokens == 4
         # The extended state was re-deposited: an exact repeat now forks it.
-        assert llm.prefill(prompt + [3, 4, 5, 10]).outcome == "fork"
+        assert llm.prefill(prompt + [3, 4, 5, 10], state_cache=tree).outcome == "fork"
 
     def test_session_context_mismatch_is_an_error(self):
         llm = get_model("llama2-7b-sim", vocab_size=11)
@@ -236,7 +230,7 @@ class TestBitIdentity:
     def test_cached_and_uncached_forecasts_are_bit_identical(self, scheme, sax):
         config = MultiCastConfig(scheme=scheme, sax=sax, num_samples=3, seed=123)
         baseline = _forecast(config)  # no cache
-        cache = IngestStateCache()
+        cache = RadixPrefillTree()
         cold = _forecast(config, state_cache=cache)  # cache miss
         warm = _forecast(config, state_cache=cache)  # cache fork
         assert cold.metadata["ingest"] == "miss"
@@ -250,7 +244,7 @@ class TestBitIdentity:
 
     def test_extended_history_is_bit_identical_too(self):
         config = MultiCastConfig(scheme="di", num_samples=2, seed=7)
-        cache = IngestStateCache()
+        cache = RadixPrefillTree()
         forecaster = MultiCastForecaster(state_cache=cache)
         forecaster.forecast(ForecastSpec.from_config(config, series=HISTORY[:50], horizon=4))
         extended = forecaster.forecast(
@@ -292,8 +286,8 @@ class TestEngineWiring:
             assert engine.metrics.counter("ingest_cache_misses").value == 1
             assert engine.metrics.counter("ingest_cache_hits").value == 1
             snapshot = engine.metrics_snapshot()
-        assert snapshot["ingest_cache"]["hits"] == 1
-        assert snapshot["ingest_cache"]["misses"] == 1
+        assert snapshot["prefill_tree"]["hits"] == 1
+        assert snapshot["prefill_tree"]["misses"] == 1
         from repro.observability import read_ledger
 
         records = read_ledger(str(ledger_path))
@@ -303,7 +297,7 @@ class TestEngineWiring:
         from repro.serving import ForecastEngine, ForecastRequest
 
         config = MultiCastConfig(num_samples=2, seed=0)
-        with ForecastEngine(ingest_cache=IngestStateCache(max_tokens=0)) as engine:
+        with ForecastEngine(prefill_tree=RadixPrefillTree(max_tokens=0)) as engine:
             response = engine.forecast(ForecastRequest(HISTORY, 4, config=config))
         assert response.ok
         assert response.output.metadata["ingest"] == "miss"
@@ -312,7 +306,7 @@ class TestEngineWiring:
 class TestBacktestExtension:
     def test_rolling_origin_extends_instead_of_reingesting(self):
         dataset = Dataset(name="synthetic", values=HISTORY, dim_names=("a", "b"))
-        cache = IngestStateCache()
+        cache = RadixPrefillTree()
         spec = ForecastSpec(num_samples=2)
         uncached = rolling_origin_evaluation(
             "multicast-di", dataset, horizon=4, num_windows=3, spec=spec
@@ -337,21 +331,18 @@ class TestIngestCheckpoints:
     """Shorter-query-after-longer-deposit: the checkpoint regression."""
 
     def test_checkpoint_lengths_double_below_n(self):
-        from repro.llm.state_cache import checkpoint_lengths
-
         assert checkpoint_lengths(0) == ()
         assert checkpoint_lengths(16) == ()
         assert checkpoint_lengths(17) == (16,)
         assert checkpoint_lengths(200) == (16, 32, 64, 128)
 
     def test_shorter_query_after_longer_deposit_extends(self):
-        cache = IngestStateCache()
+        tree = RadixPrefillTree()
         prompt = [int(t) for t in RNG.integers(0, 5, size=150)]
-        model = PPMLanguageModel(5, max_order=4)
-        cache.ingest("m", 5, prompt, model)
-        # Previously this query missed outright: only the 150-token end
-        # state was cached, and in-context state cannot be rewound.
-        lookup = cache.get("m", 5, prompt[:100])
+        tree.prefill("m", 5, prompt, lambda: PPMLanguageModel(5, max_order=4))
+        # Without checkpoints this query would miss outright: in-context
+        # state cannot be rewound from the 150-token end state.
+        lookup = tree.lookup("m", 5, prompt[:100])
         assert lookup.outcome == "extend"
         assert lookup.matched == 64  # longest checkpoint at or below 100
         for token in prompt[lookup.matched : 100]:
@@ -362,35 +353,31 @@ class TestIngestCheckpoints:
         )
 
     def test_exact_checkpoint_query_forks(self):
-        cache = IngestStateCache()
+        tree = RadixPrefillTree()
         prompt = [int(t) for t in RNG.integers(0, 5, size=70)]
-        cache.ingest("m", 5, prompt, PPMLanguageModel(5, max_order=4))
-        assert cache.get("m", 5, prompt[:32]).outcome == "fork"
-        assert cache.get("m", 5, prompt).outcome == "fork"
-
-    def test_ingest_matches_plain_reset_bitwise(self):
-        cache = IngestStateCache()
-        prompt = [int(t) for t in RNG.integers(0, 5, size=90)]
-        model = cache.ingest("m", 5, prompt, PPMLanguageModel(5, max_order=4))
-        np.testing.assert_array_equal(
-            model.next_distribution(), _prefilled(prompt).next_distribution()
-        )
+        tree.prefill("m", 5, prompt, lambda: PPMLanguageModel(5, max_order=4))
+        assert tree.lookup("m", 5, prompt[:32]).outcome == "fork"
+        assert tree.lookup("m", 5, prompt).outcome == "fork"
 
     def test_disabled_cache_ingest_still_resets(self):
-        cache = IngestStateCache(max_tokens=0)
+        tree = RadixPrefillTree(max_tokens=0)
+        llm = get_model("llama2-7b-sim", vocab_size=5)
         prompt = [0, 1, 2, 3] * 10
-        model = cache.ingest("m", 5, prompt, PPMLanguageModel(5, max_order=4))
-        assert len(cache) == 0
+        session = llm.prefill(prompt, state_cache=tree)
+        assert session.outcome == "miss"
+        assert session.ingested_tokens == len(prompt)
+        assert len(tree) == 0
         np.testing.assert_array_equal(
-            model.next_distribution(), _prefilled(prompt).next_distribution()
+            session.model.next_distribution(),
+            llm.prefill(prompt).model.next_distribution(),
         )
 
     def test_prefill_then_shorter_prefill_reuses_checkpoint(self):
-        cache = IngestStateCache()
-        llm = get_model("llama2-7b-sim", vocab_size=5, state_cache=cache)
+        tree = RadixPrefillTree()
+        llm = get_model("llama2-7b-sim", vocab_size=5)
         prompt = [int(t) for t in RNG.integers(0, 5, size=120)]
-        assert llm.prefill(prompt).outcome == "miss"
-        shorter = llm.prefill(prompt[:90])
+        assert llm.prefill(prompt, state_cache=tree).outcome == "miss"
+        shorter = llm.prefill(prompt[:90], state_cache=tree)
         assert shorter.outcome == "extend"
         assert shorter.ingested_tokens == 90 - 64
         fresh = get_model("llama2-7b-sim", vocab_size=5).prefill(prompt[:90])

@@ -249,9 +249,9 @@ class TestForecastTracing:
         assert output.metadata["execution"] == "batched"
 
     def test_ingest_span_reports_fork_on_cache_hit(self):
-        from repro.llm import IngestStateCache
+        from repro.scheduling import RadixPrefillTree
 
-        cache = IngestStateCache()
+        cache = RadixPrefillTree()
         config = MultiCastConfig(num_samples=2, seed=0)
         MultiCastForecaster(state_cache=cache).forecast(_spec(config, HISTORY, 3))
         collector = SpanCollector()

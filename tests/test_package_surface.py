@@ -129,7 +129,6 @@ class TestTopLevelApi:
         for name in (
             "ContinuousScheduler",
             "RadixPrefillTree",
-            "PrefillResult",
             "RadixLookup",
             "ScheduledDecode",
         ):

@@ -4,7 +4,8 @@ Four layers are covered:
 
 * :class:`~repro.scheduling.RadixPrefillTree` unit behaviour — exact-hit
   fork, cross-request prefix extension, shorter-query checkpoint reuse,
-  LRU-by-token eviction with pinning, the disabled mode, thread safety;
+  LRU snapshot eviction under a depth budget with pinning (and pins
+  released when ingest fails), the disabled mode, thread safety;
 * :class:`~repro.scheduling.ContinuousScheduler` — **bit-identity** with
   standalone per-request batched decoding across concurrent requests,
   admission-cap queueing, early stop, lifecycle;
@@ -17,6 +18,7 @@ Four layers are covered:
 """
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -52,14 +54,25 @@ def _tokens(n, vocab_size=6, seed=0):
     return [int(t) for t in np.random.default_rng(seed).integers(0, vocab_size, n)]
 
 
+def _refs(tree):
+    """``refs == 0`` for every node of ``tree``, one bool per node."""
+    unpinned = []
+    stack = list(tree._roots.values())
+    while stack:
+        node = stack.pop()
+        unpinned.append(node.refs == 0)
+        stack.extend(node.children.values())
+    return unpinned
+
+
 class TestRadixPrefillTree:
     def test_exact_hit_forks_shared_instance(self):
         tree = RadixPrefillTree()
         prompt = _tokens(40)
         first = tree.prefill("m", 6, prompt, _factory())
-        assert first.outcome == "miss" and first.ingested == len(prompt)
+        assert first.outcome == "miss" and first.matched == 0
         again = tree.prefill("m", 6, prompt, _factory())
-        assert again.outcome == "fork" and again.ingested == 0
+        assert again.outcome == "fork" and again.matched == len(prompt)
         assert again.model is first.model  # the shared frozen snapshot
 
     def test_cross_request_prefix_extend(self):
@@ -70,7 +83,6 @@ class TestRadixPrefillTree:
         result = tree.prefill("m", 6, longer, _factory())
         assert result.outcome == "extend"
         assert result.matched == len(prefix)
-        assert result.ingested == 20
         np.testing.assert_array_equal(
             result.model.next_distribution(),
             _prefilled(longer).next_distribution(),
@@ -127,6 +139,81 @@ class TestRadixPrefillTree:
         tree.release(pinned)
         tree.insert("m", 6, [2] + _tokens(28, seed=12), _prefilled([2]))
         assert tree.stats["resident_tokens"] <= 30
+
+    def test_budget_charges_each_snapshot_its_depth(self):
+        tree = RadixPrefillTree()
+        prompt = _tokens(40, seed=16)
+        tree.prefill("m", 6, prompt, _factory())
+        # Snapshots at 16, 32 and 40 tokens, on one 40-token path.
+        assert len(tree) == 3
+        assert tree.stats["resident_tokens"] == 16 + 32 + 40
+
+    def test_tiny_budget_keeps_the_full_prompt_snapshot(self):
+        prompt = _tokens(40, seed=17)
+        tree = RadixPrefillTree(max_tokens=len(prompt))
+        tree.prefill("m", 6, prompt, _factory())
+        # The checkpoints were deposited first, so they are the LRU victims.
+        assert len(tree) == 1
+        assert tree.lookup("m", 6, prompt).outcome == "fork"
+
+    def test_eviction_prunes_nodes_left_empty(self):
+        old, new = [0] + _tokens(9, seed=20), [1] + _tokens(9, seed=21)
+        tree = RadixPrefillTree(max_tokens=10)
+        tree.insert("m", 6, old, _prefilled(old))
+        tree.insert("m", 6, new, _prefilled(new))
+        assert tree.lookup("m", 6, old).outcome == "miss"
+        assert tree.stats["nodes"] == 2  # the root and the new prompt's leaf
+
+    def test_failed_extend_releases_its_pin(self, monkeypatch):
+        tree = RadixPrefillTree()
+        prefix = _tokens(20, seed=18)
+        tree.prefill("m", 6, prefix, _factory())
+
+        def broken_extend(self, tokens):
+            raise GenerationError("transient ingest failure")
+
+        monkeypatch.setattr(PPMLanguageModel, "extend", broken_extend)
+        with pytest.raises(GenerationError, match="transient"):
+            tree.prefill("m", 6, prefix + _tokens(8, seed=19), _factory(), pin=True)
+        assert all(_refs(tree))
+
+    def test_concurrent_pinned_prefills_under_a_tiny_budget(self):
+        # Many threads pin, evict and release over shared prefixes; the
+        # budget only fits a couple of snapshots, so eviction runs on
+        # nearly every deposit while other threads hold pins.
+        tree = RadixPrefillTree(max_tokens=120)
+        base = _tokens(40, seed=24)
+        prompts = [base + _tokens(10 + k, seed=25 + k) for k in range(6)]
+        expected = [_prefilled(p).next_distribution() for p in prompts]
+        errors = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def worker(index):
+            try:
+                for round_ in range(12):
+                    k = (index + round_) % len(prompts)
+                    result = tree.prefill("m", 6, prompts[k], _factory(), pin=True)
+                    np.testing.assert_array_equal(
+                        result.model.next_distribution(), expected[k]
+                    )
+                    tree.release(result)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert all(_refs(tree))
+        resident = sum(node.depth for node in tree._snapshots)
+        assert tree.stats["resident_tokens"] == resident
 
     def test_release_is_idempotent(self):
         tree = RadixPrefillTree()
@@ -214,7 +301,7 @@ class TestRadixPrefillTree:
         # One leader ingests; everyone else waits and forks its deposit.
         assert len(builds) == 1
         assert sum(1 for r in results if r.outcome == "fork") == 7
-        assert sum(r.ingested for r in results) == len(prompt)
+        assert sum(len(prompt) - r.matched for r in results) == len(prompt)
         reference = _prefilled(prompt).next_distribution()
         for result in results:
             np.testing.assert_array_equal(
@@ -306,12 +393,14 @@ class TestContinuousScheduler:
         assert len(results[1].tokens) == 3
 
     def test_submit_after_close_raises(self):
-        scheduler = ContinuousScheduler()
+        tree = RadixPrefillTree()
+        scheduler = ContinuousScheduler(prefill_tree=tree)
         scheduler.close()
         with pytest.raises(GenerationError):
             scheduler.submit(
                 get_model("uniform-sim", 8), _tokens(5, 8), 2, _make_rngs(3, 1)
             )
+        assert all(_refs(tree))  # the prefill's pin was dropped
 
     def test_empty_stream_list_rejected(self):
         scheduler = ContinuousScheduler()

@@ -15,13 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import ForecastSpec, MultiCastConfig
+from repro.core import ForecastSpec, MultiCastConfig, MultiCastForecaster
 from repro.data import synthetic_multivariate
 from repro.exceptions import ConfigError
 from repro.gateway import ForecastGateway
 from repro.llm.simulated import get_model
-from repro.llm.state_cache import IngestStateCache
 from repro.observability import SpanCollector, Tracer
+from repro.scheduling import RadixPrefillTree
 from repro.serving import ForecastEngine, ForecastRequest
 from repro.sharding import (
     ShardedEngine,
@@ -113,40 +113,72 @@ def test_spill_store_validates_budget(tmp_path):
 
 def test_eviction_demotes_into_spill_and_lookup_promotes_back(tmp_path):
     spill = SpillStore(tmp_path, max_tokens=10_000)
-    cache = IngestStateCache(max_tokens=40, spill=spill)
+    tree = RadixPrefillTree(max_tokens=40, spill=spill)
     short = tuple(range(20))
     long = tuple(range(100, 130))
-    cache.put(MODEL_NAME, VOCAB, short, _prefilled(short))
-    cache.put(MODEL_NAME, VOCAB, long, _prefilled(long))  # evicts `short`
+    tree.insert(MODEL_NAME, VOCAB, short, _prefilled(short))
+    tree.insert(MODEL_NAME, VOCAB, long, _prefilled(long))  # evicts `short`
     assert spill.stats["entries"] == 1
 
-    lookup = cache.get(MODEL_NAME, VOCAB, short)
+    lookup = tree.lookup(MODEL_NAME, VOCAB, short)
     assert lookup.outcome == "fork"
     assert lookup.matched == len(short)
-    assert cache.stats["spill_hits"] == 1
+    assert tree.stats["spill_hits"] == 1
     # Promotion: the next lookup resolves from memory, not the spill tier.
     hits_before = spill.stats["hits"]
-    assert cache.get(MODEL_NAME, VOCAB, short).outcome == "fork"
+    assert tree.lookup(MODEL_NAME, VOCAB, short).outcome == "fork"
     assert spill.stats["hits"] == hits_before
 
 
 def test_spill_state_migrates_across_cache_instances(tmp_path):
     """Worker A's eviction is worker B's warm start (shared directory)."""
     prompt = tuple(range(24))
-    first = IngestStateCache(
+    first = RadixPrefillTree(
         max_tokens=24, spill=SpillStore(tmp_path, max_tokens=10_000)
     )
-    first.put(MODEL_NAME, VOCAB, prompt, _prefilled(prompt))
+    first.insert(MODEL_NAME, VOCAB, prompt, _prefilled(prompt))
     filler = tuple(range(500, 524))
-    # The second put busts the budget and demotes `prompt` into the spill.
-    first.put(MODEL_NAME, VOCAB, filler, _prefilled(filler))
+    # The second insert busts the budget and demotes `prompt` into the spill.
+    first.insert(MODEL_NAME, VOCAB, filler, _prefilled(filler))
 
-    second = IngestStateCache(
+    second = RadixPrefillTree(
         max_tokens=1000, spill=SpillStore(tmp_path, max_tokens=10_000)
     )
-    lookup = second.get(MODEL_NAME, VOCAB, prompt)
+    lookup = second.lookup(MODEL_NAME, VOCAB, prompt)
     assert lookup.outcome == "fork"
     assert lookup.matched == len(prompt)
+
+
+def test_worker_continuous_request_promotes_from_spill(tmp_path):
+    """A shard's continuous requests reach the spill tier, not just batched."""
+    from repro.sharding.worker import _build_engine
+
+    spec = _spec(seed=5, execution="continuous")
+    cold = MultiCastForecaster().forecast(spec)
+    other = ForecastSpec.from_config(
+        spec.config,
+        series=synthetic_multivariate(n=64, num_dims=2, seed=10).values,
+        horizon=spec.horizon,
+        execution="continuous",
+    )
+    engine, _ = _build_engine(
+        {
+            "spill_dir": str(tmp_path),
+            "ingest_cache_tokens": cold.prompt_tokens,
+            "result_cache_entries": 0,
+        }
+    )
+    with engine:
+        assert engine.forecast(spec).output.metadata["ingest"] == "miss"
+        # The other prompt's deposits evict every snapshot of the first.
+        assert engine.forecast(other).ok
+        assert SpillStore(tmp_path).stats["entries"] > 0
+        assert engine.prefill_tree.stats["spill_hits"] == 0
+        warm = engine.forecast(spec).output
+        assert engine.prefill_tree.stats["spill_hits"] == 1
+    assert warm.metadata["ingest"] in ("fork", "extend")
+    assert warm.values.tobytes() == cold.values.tobytes()
+    assert warm.samples.tobytes() == cold.samples.tobytes()
 
 
 def test_spill_fetch_probes_checkpoint_prefixes(tmp_path):

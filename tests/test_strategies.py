@@ -24,7 +24,7 @@ from repro.core import (
     SaxConfig,
 )
 from repro.exceptions import ConfigError
-from repro.llm.state_cache import IngestStateCache
+from repro.scheduling import RadixPrefillTree
 from repro.strategies import (
     AutoStrategy,
     DecomposeThenForecastStrategy,
@@ -123,7 +123,7 @@ class TestStrategyDeterminism:
         history = _seasonal_history()
         baseline = _forecast(strategy=strategy, history=history)
         for execution in ("batched", "continuous"):
-            cache = IngestStateCache()
+            cache = RadixPrefillTree()
             for _ in range(2):  # cold, then warm ingest cache
                 output = _forecast(
                     strategy=strategy,
@@ -160,7 +160,7 @@ class TestStrategyDeterminism:
                 )
 
     def test_warm_decompose_subrequests_hit_ingest_cache(self):
-        cache = IngestStateCache()
+        cache = RadixPrefillTree()
         history = _seasonal_history()
         _forecast(strategy="decompose", state_cache=cache, history=history)
         warm = _forecast(strategy="decompose", state_cache=cache,
