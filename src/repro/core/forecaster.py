@@ -22,8 +22,12 @@ The serialisation half of both paths lives in :mod:`repro.strategies`
 (``DigitStrategy`` and ``SaxStrategy``, plus the patch-aggregate,
 decompose-then-forecast and auto strategies); the forecaster keeps the
 sampling half — validation, seasonal adjustment, prompt ingest through the
-prefix-state store, lockstep batched/continuous decoding — and hands it
-to the selected strategy through :class:`_StrategyContext`.
+prefix-state store, lockstep decoding — and hands it to the selected
+strategy through :class:`_StrategyContext`.  The ensemble decodes through
+one loop (:class:`~repro.llm.batch.BatchedDecoder`): on the caller's
+thread, or inside an injected
+:class:`~repro.scheduling.ContinuousScheduler` for ``"continuous"``
+requests.  The forecaster itself starts no thread.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from repro.llm import (
     child_seeds,
     get_model,
 )
-from repro.llm.interface import GenerationResult
 from repro.observability.spans import NULL_TRACER
 
 if TYPE_CHECKING:
@@ -105,8 +108,9 @@ class MultiCastForecaster:
         The spec is self-contained: its pipeline fields replace the
         constructor's ``config`` entirely, and its ``execution`` field
         selects how the sample ensemble is decoded (``"batched"`` — one
-        lockstep pass, the default — or ``"continuous"``, the shared
-        cross-request scheduler; bit-identical under the same seed).  The
+        lockstep pass, the default — or ``"continuous"``, the injected
+        cross-request scheduler, inline like ``"batched"`` when there is
+        none; bit-identical under the same seed).  The
         constructor keeps only execution machinery: tracer, prefix-state
         store, stop callable and scheduler.
 
@@ -278,11 +282,10 @@ class MultiCastForecaster:
           prefix-state store if one is attached) and one
           :class:`~repro.llm.batch.BatchedDecoder` advances every stream
           from that shared state, under one ``llm:decode_batch`` span.
-        * ``"continuous"`` — the streams join the shared cross-request
-          :class:`~repro.scheduling.ContinuousScheduler` (the
-          constructor's injected one, else a transient single-request
-          instance), which also owns prompt ingest through its radix
-          prefill tree when one is attached.
+        * ``"continuous"`` — the streams join the constructor's injected
+          cross-request :class:`~repro.scheduling.ContinuousScheduler`,
+          which also owns prompt ingest through its radix prefill tree;
+          with no scheduler injected they decode inline, as ``"batched"``.
 
         Each stream samples from its own child seed, derived before
         decoding starts.  The constructor's ``stop`` callable is polled
@@ -300,12 +303,51 @@ class MultiCastForecaster:
         config = self.config
         model = get_model(config.model, vocab_size=len(vocabulary))
         rng = np.random.default_rng(config.seed if seed is None else seed)
-        seeds = child_seeds(rng, config.num_samples)
-        run = self._run_continuous if mode == "continuous" else self._run_batched
-        results, info = run(
-            model, prompt_ids, tokens_needed, constraint, seeds, tracer
-        )
-        completed = [r for r in results if r is not None]
+        rngs = [
+            np.random.default_rng(s) for s in child_seeds(rng, config.num_samples)
+        ]
+        if mode == "continuous" and self._scheduler is not None:
+            decoder = self._scheduler.submit(
+                model,
+                prompt_ids,
+                tokens_needed,
+                rngs,
+                constraint=constraint,
+                temperature=config.temperature,
+                tracer=tracer,
+                stop=self._stop,
+            )
+            decoder.result()
+            ingest, ingested = decoder.ingest, decoder.ingested_tokens
+            queue_wait = decoder.queue_wait_seconds
+        else:
+            session = model.prefill(
+                prompt_ids, tracer=tracer, state_cache=self._state_cache
+            )
+            decoder = model.generate_batch(
+                prompt_ids,
+                tokens_needed,
+                rngs,
+                constraint=constraint,
+                temperature=config.temperature,
+                tracer=tracer,
+                session=session,
+                stop=self._stop,
+            )
+            ingest, ingested = session.outcome, session.ingested_tokens
+            queue_wait = 0.0
+        info = {
+            "ingest": ingest,
+            "ingested_tokens": ingested,
+            "execution": mode,
+            "batch_occupancy": list(decoder.occupancy),
+            "batch_groups": list(decoder.group_counts),
+        }
+        if mode == "continuous":
+            info["queue_wait_seconds"] = queue_wait
+        if decoder.stopped:
+            info["stopped"] = True
+        completed = [r for r in decoder.results if r is not None]
         if not completed:
             raise GenerationError(
                 "every sample stream was stopped before it completed"
@@ -316,95 +358,6 @@ class MultiCastForecaster:
             model.cost.seconds(0, len(result.tokens)) for result in completed
         )
         return streams, generated, simulated, info
-
-    def _run_batched(
-        self,
-        model,
-        prompt_ids: list[int],
-        tokens_needed: int,
-        constraint: Constraint,
-        seeds: list[int],
-        tracer,
-    ) -> tuple[list[GenerationResult | None], dict]:
-        """Decode the whole ensemble through one lockstep batched pass."""
-        session = model.prefill(
-            prompt_ids, tracer=tracer, state_cache=self._state_cache
-        )
-        decoder = model.generate_batch(
-            prompt_ids,
-            tokens_needed,
-            [np.random.default_rng(s) for s in seeds],
-            constraint=constraint,
-            temperature=self.config.temperature,
-            tracer=tracer,
-            session=session,
-            stop=self._stop,
-        )
-        info = {
-            "ingest": session.outcome,
-            "ingested_tokens": session.ingested_tokens,
-            "execution": "batched",
-            "batch_occupancy": list(decoder.occupancy),
-            "batch_groups": list(decoder.group_counts),
-        }
-        if decoder.stopped:
-            info["stopped"] = True
-        return decoder.results, info
-
-    def _run_continuous(
-        self,
-        model,
-        prompt_ids: list[int],
-        tokens_needed: int,
-        constraint: Constraint,
-        seeds: list[int],
-        tracer,
-    ) -> tuple[list[GenerationResult | None], dict]:
-        """Decode the ensemble through the shared cross-request scheduler.
-
-        With an injected scheduler (the serving engine's), this request's
-        streams join whatever other requests are resident (and resolve
-        their prompt through that scheduler's prefill tree); without one, a
-        transient single-request scheduler over this forecaster's
-        ``state_cache`` runs the same code path.  Either
-        way the results are bit-identical to ``"batched"`` under the same
-        seeds (see :mod:`repro.scheduling`).
-        """
-        scheduler = self._scheduler
-        transient = None
-        if scheduler is None:
-            from repro.scheduling import ContinuousScheduler
-
-            transient = scheduler = ContinuousScheduler(
-                max_resident_streams=max(1, len(seeds)),
-                prefill_tree=self._state_cache,
-            )
-        try:
-            handle = scheduler.submit(
-                model,
-                prompt_ids,
-                tokens_needed,
-                [np.random.default_rng(s) for s in seeds],
-                constraint=constraint,
-                temperature=self.config.temperature,
-                tracer=tracer,
-                stop=self._stop,
-            )
-            results = handle.result()
-        finally:
-            if transient is not None:
-                transient.close()
-        info = {
-            "ingest": handle.ingest,
-            "ingested_tokens": handle.ingested_tokens,
-            "execution": "continuous",
-            "batch_occupancy": list(handle.occupancy),
-            "batch_groups": list(handle.group_counts),
-            "queue_wait_seconds": handle.queue_wait_seconds,
-        }
-        if handle.stopped:
-            info["stopped"] = True
-        return results, info
 
     def _truncate_rows(self, matrix: np.ndarray, width: int) -> np.ndarray:
         """Keep only the most recent rows whose stream fits the prompt budget."""

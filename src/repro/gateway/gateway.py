@@ -50,6 +50,7 @@ from repro.core.spec import ForecastSpec
 from repro.exceptions import ConfigError
 from repro.gateway.admission import AdmissionController, TenantQuota
 from repro.gateway.handles import GatewayHandle, HandleStatus, StreamEvent
+from repro.observability.ledger import ledger_record, outcome_of
 from repro.serving.cache import forecast_digest
 from repro.serving.engine import ForecastEngine
 from repro.serving.request import ForecastRequest, ForecastResponse
@@ -398,13 +399,10 @@ class ForecastGateway:
         miss/extend/fork outcome), and copying the leader's value here
         would double-count ingest work in ledger audits.
         """
-        outcome = "failed" if not response.ok else (
-            "partial" if response.partial else "ok"
-        )
         self._ledger_append(
             follower.request,
             "coalesced",
-            outcome,
+            outcome_of(response),
             error=response.error,
             cache_hit=response.cache_hit,
             wall_seconds=time.perf_counter() - follower.submitted_at,
@@ -412,54 +410,22 @@ class ForecastGateway:
         )
 
     def _ledger_append(
-        self,
-        request: ForecastRequest,
-        admission: str,
-        outcome: str,
-        *,
-        error: str | None = None,
-        cache_hit: bool = False,
-        wall_seconds: float = 0.0,
-        ingest: str | None = None,
+        self, request: ForecastRequest, admission: str, outcome: str, **fields
     ) -> None:
+        """Write one gateway-side record; ``fields`` go to ``ledger_record``."""
         ledger = self.engine.ledger
         if ledger is None:
             return
+        digest = forecast_digest(
+            request.history, request.config, request.horizon, request.seed
+        )
         ledger.append(
-            {
-                "unix_time": round(time.time(), 3),
-                "name": request.name,
-                "tenant": request.tenant,
-                "admission": admission,
-                "gateway_queue_wait_seconds": None,
-                "outcome": outcome,
-                "config_hash": forecast_digest(
-                    request.history,
-                    request.config,
-                    request.horizon,
-                    request.seed,
-                ),
-                "seed": int(request.effective_seed),
-                "scheme": request.config.scheme,
-                "sax": request.config.sax is not None,
-                "model": request.config.model,
-                "horizon": int(request.horizon),
-                "execution": request.execution,
-                "cache_hit": cache_hit,
-                "partial": False,
-                "attempts": 0,
-                "error": error,
-                "wall_seconds": round(wall_seconds, 9),
-                "prompt_tokens": 0,
-                "generated_tokens": 0,
-                "ingest": ingest,
-                "queue_wait_seconds": None,
-                "timings": {},
-                "spans": None,
-                "metrics": {
-                    name: instrument["value"]
-                    for name, instrument in self.metrics.snapshot().items()
-                    if instrument.get("type") == "counter"
-                },
-            }
+            ledger_record(
+                request,
+                digest,
+                outcome,
+                admission=admission,
+                metrics=self.metrics,
+                **fields,
+            )
         )

@@ -24,7 +24,7 @@ KV-cache prefix reuse.
 """
 
 from repro.llm.interface import GenerationResult, LanguageModel
-from repro.llm.batch import BatchedDecoder, decode_step
+from repro.llm.batch import BatchedDecoder, decode_step, lockstep_step
 from repro.llm.constraints import (
     Constraint,
     PeriodicPatternConstraint,
@@ -70,6 +70,7 @@ __all__ = [
     "mask_for_ids",
     "BatchedDecoder",
     "decode_step",
+    "lockstep_step",
     "child_seeds",
     "child_generators",
     "PPMLanguageModel",

@@ -1,4 +1,4 @@
-"""Token-level batched decoding for sample ensembles.
+"""Token-level lockstep decoding for sample ensembles.
 
 MultiCast's point forecast is the per-timestamp median over S i.i.d.
 constrained continuations of *one* prompt, so a request decodes S streams
@@ -12,11 +12,20 @@ call per step scores every live stream, each stream samples from its row
 with its own seed-derived generator, and streams that hit their token
 budget retire from the batch immediately (no padding waste).
 
+There is one decode loop.  A :class:`BatchedDecoder` holds one request's
+lockstep state — streams, groups, position, mask cache, telemetry — and
+:meth:`BatchedDecoder.ready` runs the per-step bookkeeping (retire streams
+whose budget is met, poll ``stop``, record occupancy).
+:func:`lockstep_step` then scores and samples any set of ready decoders:
+:meth:`BatchedDecoder.decode` is ``while ready(): lockstep_step([self])``,
+and the cross-request :class:`~repro.scheduling.ContinuousScheduler` calls
+it with every resident request at once.
+
 Two substrate properties make this cheap *and* exact:
 
 * **Determinism** — a model's state is a pure function of (prefilled
   prompt + generated tokens), so streams whose generated prefixes are
-  equal share bit-identical model state.  The scheduler therefore keeps
+  equal share bit-identical model state.  The decoder therefore keeps
   one model per *group* of streams with the same prefix, scoring each
   distinct state once per step and forking only when sampled tokens
   split a group.  A PPM fork shares the frozen context table and copies
@@ -33,7 +42,8 @@ Two substrate properties make this cheap *and* exact:
   ``next_distribution()`` call.  Batched output therefore equals the
   single-stream reference token for token and log-prob for log-prob
   (pinned by ``tests/test_batched_decoding.py`` and the
-  ``decode_equivalence`` fuzz family).
+  ``decode_equivalence`` fuzz family), and a decoder's output does not
+  depend on which other decoders share its steps (``sched_equivalence``).
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from repro.llm.interface import GenerationResult, LanguageModel
 from repro.llm.sampling import cdf_rows, draw_token, filter_rows, mask_for_ids
 from repro.observability.spans import NULL_TRACER
 
-__all__ = ["BatchedDecoder", "decode_step"]
+__all__ = ["BatchedDecoder", "decode_step", "lockstep_step", "stream_budgets"]
 
 
 class _Stream:
@@ -80,21 +90,42 @@ class _Group:
         self.log_probs = log_probs
 
 
+def stream_budgets(
+    rngs: Sequence[np.random.Generator], max_new_tokens: int | Sequence[int]
+) -> list[int]:
+    """Validate an ensemble's token budgets; one int per stream.
+
+    ``max_new_tokens`` is one budget shared by every stream or a sequence
+    with one budget per stream.  Raises :class:`GenerationError` for an
+    empty ensemble, a length mismatch or a negative budget.
+    """
+    if len(rngs) == 0:
+        raise GenerationError("a batch needs at least one stream")
+    if isinstance(max_new_tokens, (int, np.integer)):
+        budgets = [int(max_new_tokens)] * len(rngs)
+    else:
+        budgets = [int(b) for b in max_new_tokens]
+    if len(budgets) != len(rngs):
+        raise GenerationError(f"{len(rngs)} streams but {len(budgets)} token budgets")
+    if any(budget < 0 for budget in budgets):
+        raise GenerationError("max_new_tokens must be >= 0 for every stream")
+    return budgets
+
+
 def decode_step(
     groups: list[_Group],
-    matrix: np.ndarray,
     temperature: float = 1.0,
-    top_k: int | None = None,
     top_p: float | None = None,
     allowed_mask: np.ndarray | None = None,
 ) -> list[_Group]:
-    """Sample one token per live stream and regroup — one lockstep step.
+    """Score, sample one token per live stream and regroup — one step.
 
-    ``matrix`` holds the scored next-token row of each group (row ``i``
-    for ``groups[i]``).  All groups share the sampling knobs;
+    One :meth:`~repro.llm.interface.LanguageModel.next_distribution_batch`
+    call scores every group's model (all of one class).  All groups share
+    the sampling knobs;
     ``allowed_mask`` is one ``(V,)`` mask for all of them (the streams of
-    one request) or a ``(G, V)`` mask with a row per group (the
-    continuous scheduler, whose requests sit at different positions).
+    one request) or a ``(G, V)`` mask with a row per group (several
+    requests sitting at different positions).
     The deterministic filter runs once over the whole ``(G, V)`` matrix,
     then each stream draws its token from its group's cdf row with its
     own generator — consuming it exactly as the sequential path's
@@ -105,10 +136,12 @@ def decode_step(
     advances every partition's model by its token.  Returns the next
     step's groups, in order.
     """
+    matrix = type(groups[0].model).next_distribution_batch(
+        [group.model for group in groups]
+    )
     probs, greedy = filter_rows(
         matrix,
         temperature=temperature,
-        top_k=top_k,
         top_p=top_p,
         allowed_mask=allowed_mask,
     )
@@ -167,34 +200,35 @@ def decode_step(
 
 
 class BatchedDecoder:
-    """Lockstep scheduler decoding S streams from one prefilled model.
+    """Lockstep state for S streams decoded from one prefilled model.
 
     Parameters
     ----------
     model:
         A prefilled in-context model (e.g. the ``model`` of a
         :class:`~repro.llm.simulated.PrefilledSession`).  Treated as
-        frozen: the decoder forks it once up front and never mutates it,
-        so one session can serve many decoders (and other consumers)
-        concurrently.
+        frozen: the decoder forks it once, on construction, and never
+        mutates it, so one session can serve many decoders (and other
+        consumers) concurrently.
     rngs:
         One :class:`numpy.random.Generator` per stream, in stream order —
         the same seed-derived generators the sequential path would use
         (see :func:`~repro.llm.sampling.child_seeds`).
     max_new_tokens:
         Per-stream token budget: one int shared by all streams, or a
-        sequence with one budget per stream.  A stream retires the moment
-        its budget is reached.
-    constraint, temperature, top_k, top_p:
+        sequence with one budget per stream (see :func:`stream_budgets`).
+        A stream retires the moment its budget is reached.
+    constraint, temperature, top_p:
         As in :meth:`~repro.llm.interface.LanguageModel.decode`, applied
         identically to every stream.  The constraint's admissible mask is
-        computed once per step and shared across streams.
+        computed once per step, cached per pattern slot, and shared
+        across streams.
 
-    After :meth:`decode`, the instance exposes the run's telemetry:
-    ``results`` (per-stream :class:`GenerationResult`, ``None`` for
-    streams abandoned by an early stop), ``occupancy`` (live streams per
-    step), ``group_counts`` (distinct model states scored per step),
-    ``steps`` and ``stopped``.
+    The instance exposes the run's telemetry as it goes: ``results``
+    (per-stream :class:`GenerationResult`, ``None`` until the stream
+    retires and for streams abandoned by an early stop), ``occupancy``
+    (live streams per step), ``group_counts`` (distinct model states
+    scored per step), ``steps``, ``stopped`` and ``live_streams``.
     """
 
     def __init__(
@@ -204,33 +238,33 @@ class BatchedDecoder:
         max_new_tokens: int | Sequence[int],
         constraint: Constraint | None = None,
         temperature: float = 1.0,
-        top_k: int | None = None,
         top_p: float | None = None,
     ) -> None:
-        if len(rngs) == 0:
-            raise GenerationError("a batch needs at least one stream")
-        if isinstance(max_new_tokens, (int, np.integer)):
-            budgets = [int(max_new_tokens)] * len(rngs)
-        else:
-            budgets = [int(b) for b in max_new_tokens]
-        if len(budgets) != len(rngs):
-            raise GenerationError(
-                f"{len(rngs)} streams but {len(budgets)} token budgets"
-            )
-        if any(budget < 0 for budget in budgets):
-            raise GenerationError("max_new_tokens must be >= 0 for every stream")
-        self._model = model
-        self._streams = [
+        budgets = stream_budgets(rngs, max_new_tokens)
+        self._vocab_size = model.vocab_size
+        self._constraint = constraint
+        self._temperature = temperature
+        self._top_p = top_p
+        self._mask_cache: dict[frozenset[int], np.ndarray] = {}
+        self._mask: np.ndarray | None = None
+        self._stop: Callable[[], bool] | None = None
+        # Decoders that may share one sampling call (see lockstep_step).
+        self._setup = (
+            type(model), model.vocab_size, temperature, top_p, constraint is None
+        )
+        streams = [
             _Stream(i, rng, budget)
             for i, (rng, budget) in enumerate(zip(rngs, budgets))
         ]
-        self._constraint = constraint
-        self._temperature = temperature
-        self._top_k = top_k
-        self._top_p = top_p
-        self._mask_cache: dict[frozenset[int], np.ndarray] = {}
-        self.batch_width = len(rngs)
-        self.results: list[GenerationResult | None] = [None] * len(rngs)
+        self._groups = [
+            _Group(model=model.fork(), streams=streams, tokens=[], log_probs=[])
+        ]
+        self._position = 0
+        self._retire_at = 0  # no stream's budget runs out before this step
+        self.batch_width = len(streams)
+        self.live_streams = len(streams)
+        self._max_budget = max(budgets)
+        self.results: list[GenerationResult | None] = [None] * len(streams)
         self.occupancy: list[int] = []
         self.group_counts: list[int] = []
         self.steps = 0
@@ -243,9 +277,51 @@ class BatchedDecoder:
         allowed = self._constraint.allowed_at(position)
         mask = self._mask_cache.get(allowed)
         if mask is None:
-            mask = mask_for_ids(allowed, self._model.vocab_size)
+            mask = mask_for_ids(allowed, self._vocab_size)
             self._mask_cache[allowed] = mask
         return mask
+
+    def ready(self) -> bool:
+        """Prepare the next step; False once the decode is over.
+
+        Retires streams whose budget is met (recording their results),
+        then polls ``stop`` — when it fires the decode aborts: retired
+        streams keep their results, still-live streams report ``None``
+        and ``stopped`` is set.  Otherwise records the step's occupancy
+        and group count, and returns True: the decoder is ready for
+        :func:`lockstep_step`.  Once it returns False, the decoder takes
+        no further step.
+        """
+        position = self._position
+        if position >= self._retire_at:
+            live: list[_Group] = []
+            for group in self._groups:
+                keep: list[_Stream] = []
+                for stream in group.streams:
+                    if stream.budget <= position:
+                        self.results[stream.index] = GenerationResult(
+                            tokens=list(group.tokens),
+                            log_probs=list(group.log_probs),
+                        )
+                    else:
+                        keep.append(stream)
+                if keep:
+                    group.streams = keep
+                    live.append(group)
+            self._groups = live
+            budgets = [stream.budget for group in live for stream in group.streams]
+            self.live_streams = len(budgets)
+            self._retire_at = min(budgets, default=0)
+        if not self._groups:
+            return False
+        if self._stop is not None and self._stop():
+            self.stopped = True
+            return False
+        self.occupancy.append(self.live_streams)
+        self.group_counts.append(len(self._groups))
+        self.steps += 1
+        self._mask = self._mask_at(position)
+        return True
 
     def decode(
         self,
@@ -255,77 +331,30 @@ class BatchedDecoder:
     ) -> list[GenerationResult | None]:
         """Run the lockstep loop to completion (or until ``stop`` fires).
 
-        Each step: retire streams whose budget is met, score the distinct
-        model states with one ``next_distribution_batch`` call, sample one
-        token per live stream from its row with its own RNG, then
-        partition each group by sampled token — the first partition keeps
-        the group's model (advanced in place), later partitions fork it
-        first.  ``stop`` is polled between steps; when it returns True the
-        decode aborts, already-retired streams keep their results and
-        still-live streams report ``None`` (the engine uses this to stop a
-        request at its deadline).
+        ``while ready(): lockstep_step([self])``.  Each step retires
+        streams whose budget is met, scores the distinct model states with
+        one ``next_distribution_batch`` call, samples one token per live
+        stream from its row with its own RNG, then partitions each group by
+        sampled token — the first partition keeps the group's model
+        (advanced in place), later partitions fork it first.  ``stop`` is
+        polled between steps (the engine uses it to stop a request at its
+        deadline; see :meth:`ready`).
 
         Emits one ``llm:decode_batch`` span carrying ``batch_width``,
         ``steps``, ``tokens_generated`` and mean occupancy/group counts.
         Returns ``self.results`` (stream order).
         """
         tracer = NULL_TRACER if tracer is None else tracer
+        self._stop = stop
         results = self.results
         with tracer.span(
             "llm:decode_batch",
             batch_width=self.batch_width,
-            max_new_tokens=max((s.budget for s in self._streams), default=0),
+            max_new_tokens=self._max_budget,
             **(span_attributes or {}),
         ) as span:
-            root = _Group(
-                model=self._model.fork(),
-                streams=list(self._streams),
-                tokens=[],
-                log_probs=[],
-            )
-            groups = [root]
-            position = 0
-            retire_at = 0  # no stream's budget runs out before this step
-            while True:
-                if position >= retire_at:
-                    live: list[_Group] = []
-                    for group in groups:
-                        keep: list[_Stream] = []
-                        for stream in group.streams:
-                            if stream.budget <= position:
-                                results[stream.index] = GenerationResult(
-                                    tokens=list(group.tokens),
-                                    log_probs=list(group.log_probs),
-                                )
-                            else:
-                                keep.append(stream)
-                        if keep:
-                            group.streams = keep
-                            live.append(group)
-                    groups = live
-                    streams = [stream for group in groups for stream in group.streams]
-                    retire_at = min((stream.budget for stream in streams), default=0)
-                if not groups:
-                    break
-                if stop is not None and stop():
-                    self.stopped = True
-                    break
-                self.occupancy.append(len(streams))
-                self.group_counts.append(len(groups))
-                mask = self._mask_at(position)
-                matrix = type(groups[0].model).next_distribution_batch(
-                    [group.model for group in groups]
-                )
-                groups = decode_step(
-                    groups,
-                    matrix,
-                    temperature=self._temperature,
-                    top_k=self._top_k,
-                    top_p=self._top_p,
-                    allowed_mask=mask,
-                )
-                position += 1
-            self.steps = len(self.occupancy)
+            while self.ready():
+                lockstep_step([self])
             if span.is_recording:
                 span.set_attribute("steps", self.steps)
                 span.set_attribute(
@@ -344,3 +373,53 @@ class BatchedDecoder:
                 if self.stopped:
                     span.set_attribute("stopped", True)
         return results
+
+
+def lockstep_step(decoders: Sequence[BatchedDecoder]) -> None:
+    """Score, sample and advance one step of every ready decoder.
+
+    Each decoder must have just returned True from
+    :meth:`BatchedDecoder.ready`.  A lone decoder goes straight to one
+    :func:`decode_step` under its own ``(V,)`` mask.  Several decoders are
+    partitioned by model class and sampling set-up — normally one
+    partition for the whole step — and each partition is scored and
+    sampled at once, each decoder masking its own rows.  Rows are
+    bit-identical to per-model ``next_distribution()`` calls and every
+    stream draws from its own generator, so no decoder's output depends
+    on the others it shares a step with.
+    """
+    if len(decoders) == 1:
+        (decoder,) = decoders
+        decoder._groups = decode_step(
+            decoder._groups,
+            temperature=decoder._temperature,
+            top_p=decoder._top_p,
+            allowed_mask=decoder._mask,
+        )
+        decoder._position += 1
+        return
+    setups: dict[tuple, list[BatchedDecoder]] = {}
+    for decoder in decoders:
+        setups.setdefault(decoder._setup, []).append(decoder)
+    for members in setups.values():
+        groups = [group for decoder in members for group in decoder._groups]
+        owners = {
+            id(stream): decoder
+            for decoder in members
+            for group in decoder._groups
+            for stream in group.streams
+        }
+        lead = members[0]
+        mask = None if lead._mask is None else np.stack(
+            [decoder._mask for decoder in members for _ in decoder._groups]
+        )
+        for decoder in members:
+            decoder._groups = []
+            decoder._position += 1
+        for group in decode_step(
+            groups,
+            temperature=lead._temperature,
+            top_p=lead._top_p,
+            allowed_mask=mask,
+        ):
+            owners[id(group.streams[0])]._groups.append(group)

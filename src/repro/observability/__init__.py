@@ -26,6 +26,8 @@ the lockstep ``llm:decode_batch`` spans.  ``docs/OBSERVABILITY.md`` is the guide
 from repro.observability.ledger import (
     LedgerSummary,
     RunLedger,
+    ledger_record,
+    outcome_of,
     read_ledger,
     summarize_ledger,
 )
@@ -53,6 +55,8 @@ __all__ = [
     "stage_timings",
     "RunLedger",
     "LedgerSummary",
+    "ledger_record",
+    "outcome_of",
     "read_ledger",
     "summarize_ledger",
 ]

@@ -9,12 +9,15 @@ snapshot — so a directory of ledger files *is* the service's queryable
 history.  ``repro-multicast ledger summarize`` aggregates any ledger back
 into per-outcome counts and latency quantiles.
 
-Record schema (one JSON object per line; ``docs/OBSERVABILITY.md`` has the
-full field reference)::
+Every writer — the engine, the sharded supervisor and the gateway — builds
+its records with :func:`ledger_record`, so all records share one key set
+(sharded records add ``shard`` and ``worker_pid``).  Record schema (one
+JSON object per line; ``docs/OBSERVABILITY.md`` has the full field
+reference)::
 
     {"name": "gas-di", "outcome": "ok", "config_hash": "ab12…", "seed": 0,
      "scheme": "di", "sax": false, "model": "llama2-7b-sim", "horizon": 8,
-     "cache_hit": false, "partial": false, "attempts": 1, "error": null,
+     "execution": "batched", "strategy": "default", "cache_hit": false, "partial": false, "attempts": 1, "error": null,
      "wall_seconds": 0.41, "prompt_tokens": 3120, "generated_tokens": 320,
      "timings": {"scale": …}, "spans": {…} | null, "metrics": {…}}
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +34,14 @@ import numpy as np
 
 from repro.exceptions import ConfigError, DataError
 
-__all__ = ["RunLedger", "LedgerSummary", "read_ledger", "summarize_ledger"]
+__all__ = [
+    "RunLedger",
+    "LedgerSummary",
+    "ledger_record",
+    "outcome_of",
+    "read_ledger",
+    "summarize_ledger",
+]
 
 #: The three terminal states of a served forecast.
 OUTCOMES = ("ok", "partial", "failed")
@@ -39,6 +50,91 @@ OUTCOMES = ("ok", "partial", "failed")
 #: the serving :class:`~repro.serving.metrics.Histogram` snapshots, so the
 #: two reports are directly comparable.
 SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
+
+
+def outcome_of(response) -> str:
+    """Terminal state of a served request: ``ok``, ``partial``, or ``failed``."""
+    if not response.ok:
+        return "failed"
+    return "partial" if response.partial else "ok"
+
+
+def ledger_record(
+    request,
+    config_hash: str,
+    outcome: str,
+    *,
+    output=None,
+    admission: str = "direct",
+    gateway_queue_wait_seconds: float | None = None,
+    cache_hit: bool = False,
+    partial: bool = False,
+    attempts: int = 0,
+    error: str | None = None,
+    wall_seconds: float = 0.0,
+    ingest: str | None = None,
+    spans: dict | None = None,
+    metrics=None,
+) -> dict:
+    """One self-contained ledger record for a served (or refused) request.
+
+    ``request`` is a :class:`~repro.serving.request.ForecastRequest`;
+    ``output``, when the request produced one, supplies the token counts,
+    stage timings, ingest outcome, scheduler queue wait, and the
+    execution and strategy that actually ran (the request's own values
+    otherwise).  ``ingest`` overrides the output's ingest outcome (the
+    gateway records ``"coalesced"``).  ``metrics`` is a
+    :class:`~repro.serving.metrics.MetricsRegistry` whose counters are
+    snapshotted into the record — enough to cross-check a ``ledger
+    summarize`` report against a ``--metrics-out`` dump.
+    """
+    config = request.config
+    metadata = output.metadata if output is not None else {}
+    queue_wait = metadata.get("queue_wait_seconds")
+    return {
+        "unix_time": round(time.time(), 3),
+        "name": request.name,
+        "tenant": request.tenant,
+        "admission": admission,
+        "gateway_queue_wait_seconds": (
+            None
+            if gateway_queue_wait_seconds is None
+            else round(gateway_queue_wait_seconds, 9)
+        ),
+        "outcome": outcome,
+        "config_hash": config_hash,
+        "seed": int(request.effective_seed),
+        "scheme": config.scheme,
+        "sax": config.sax is not None,
+        "model": config.model,
+        "horizon": int(request.horizon),
+        "execution": metadata.get("execution", request.execution),
+        "strategy": metadata.get("strategy", config.strategy),
+        "cache_hit": cache_hit,
+        "partial": partial,
+        "attempts": attempts,
+        "error": error,
+        "wall_seconds": round(wall_seconds, 9),
+        "prompt_tokens": output.prompt_tokens if output is not None else 0,
+        "generated_tokens": output.generated_tokens if output is not None else 0,
+        "ingest": metadata.get("ingest") if ingest is None else ingest,
+        "queue_wait_seconds": None if queue_wait is None else round(queue_wait, 9),
+        "timings": (
+            {k: round(v, 9) for k, v in output.timings.items()}
+            if output is not None
+            else {}
+        ),
+        "spans": spans,
+        "metrics": (
+            {
+                name: instrument["value"]
+                for name, instrument in metrics.snapshot().items()
+                if instrument.get("type") == "counter"
+            }
+            if metrics is not None
+            else {}
+        ),
+    }
 
 
 class RunLedger:

@@ -1,29 +1,25 @@
 """One shared decode loop for many concurrent forecast requests.
 
-:class:`~repro.llm.batch.BatchedDecoder` advances the S sample streams of
-*one* request in lockstep; :class:`ContinuousScheduler` generalises that
-loop across requests, the way iteration-level schedulers (Orca, vLLM) run
-a serving fleet: every resident request contributes its live groups to one
-global step, new requests are admitted *between* iterations — they never
-wait for a resident batch to drain — and requests retire stream by stream
-the moment their budgets are met.
+:class:`~repro.llm.batch.BatchedDecoder` holds the lockstep state of the S
+sample streams of *one* request; :class:`ContinuousScheduler` steps many of
+them together, the way iteration-level schedulers (Orca, vLLM) run a
+serving fleet: every resident request takes part in one global step, new
+requests are admitted *between* iterations — they never wait for a
+resident batch to drain — and requests retire stream by stream the moment
+their budgets are met.
 
-Bit-identity with per-request ``execution="batched"`` falls out of three
-substrate facts:
-
-* each stream samples from its **own** seed-derived generator, and the
-  scheduler consumes each stream's RNG in exactly the per-step order the
-  single-request decoder would (retire → stop poll → score → sample);
-* model state is a pure function of (prompt + generated tokens), so
-  scoring a request's groups alongside a stranger's groups cannot change
-  any row — :meth:`~repro.llm.interface.LanguageModel.
-  next_distribution_batch` guarantees row *i* is bit-identical to
-  ``models[i].next_distribution()``;
-* the deterministic filtering half of sampling
-  (:func:`~repro.llm.sampling.filter_rows`) depends only on the row,
-  the request's own sampling knobs and its own mask, and every step runs
-  through the same :func:`~repro.llm.batch.decode_step` as the
-  single-request decoder.
+Each resident request is a :class:`ScheduledDecode`, a ``BatchedDecoder``
+that also carries its prompt ingest, its prefill-tree pin, its queue wait
+and a completion event.  One shared iteration is one
+:meth:`~repro.llm.batch.BatchedDecoder.ready` per request (retire → stop
+poll → telemetry) plus one :func:`~repro.llm.batch.lockstep_step` over the
+ready ones — the very calls ``execution="batched"`` makes for a lone
+request.  Bit-identity with it therefore rests only on the step not
+mixing requests: each stream samples from its own seed-derived generator,
+:meth:`~repro.llm.interface.LanguageModel.next_distribution_batch` row *i*
+is bit-identical to ``models[i].next_distribution()`` whoever shares the
+call, and filtering a row depends only on the row, its request's knobs and
+its request's mask.
 
 The ``sched_equivalence`` fuzz family and ``tests/test_scheduling.py``
 pin this equivalence across random interleavings.
@@ -38,41 +34,53 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.exceptions import GenerationError
+from repro.llm.batch import BatchedDecoder, lockstep_step, stream_budgets
 from repro.llm.constraints import Constraint
 from repro.llm.interface import GenerationResult
-from repro.llm.batch import _Group, _Stream, decode_step
-from repro.llm.sampling import mask_for_ids
-from repro.llm.simulated import SimulatedLLM
+from repro.llm.simulated import PrefilledSession, SimulatedLLM
 from repro.observability.spans import NULL_TRACER
 from repro.scheduling.radix import RadixPrefillTree
 
 __all__ = ["ContinuousScheduler", "ScheduledDecode"]
 
 
-class ScheduledDecode:
-    """Caller-facing handle for one request resident in the scheduler.
+class ScheduledDecode(BatchedDecoder):
+    """One request resident in the scheduler, and its caller's handle.
 
     Returned by :meth:`ContinuousScheduler.submit`; the caller blocks on
     :meth:`result` (or polls :meth:`done`) while the shared loop decodes.
-    After completion the handle carries the same telemetry a
-    :class:`~repro.llm.batch.BatchedDecoder` would: ``results`` (stream
-    order; ``None`` for streams abandoned by an early ``stop``),
-    ``occupancy`` and ``group_counts`` (this request's live streams /
-    distinct model states per step *it* was resident), ``steps`` and
+    A :class:`~repro.llm.batch.BatchedDecoder` over the request's prefilled
+    session, so it carries the same telemetry — ``results`` (stream order;
+    ``None`` for streams abandoned by an early ``stop``), ``occupancy`` and
+    ``group_counts`` (per step *it* was resident), ``steps`` and
     ``stopped`` — plus the scheduling outcomes ``queue_wait_seconds``,
     ``ingest`` and ``ingested_tokens``.
     """
 
-    def __init__(self, batch_width: int, ingest: str, ingested_tokens: int) -> None:
-        self.batch_width = batch_width
-        self.results: list[GenerationResult | None] = [None] * batch_width
-        self.occupancy: list[int] = []
-        self.group_counts: list[int] = []
-        self.steps = 0
-        self.stopped = False
+    def __init__(
+        self,
+        llm: SimulatedLLM,
+        session: PrefilledSession,
+        rngs: Sequence[np.random.Generator],
+        budgets: list[int],
+        constraint: Constraint | None,
+        temperature: float | None,
+        stop: Callable[[], bool] | None,
+    ) -> None:
+        super().__init__(
+            session.model,
+            rngs,
+            budgets,
+            constraint=constraint,
+            temperature=llm.spec.temperature if temperature is None else temperature,
+            top_p=llm.spec.top_p,
+        )
+        self._stop = stop
+        self.ingest = session.outcome
+        self.ingested_tokens = session.ingested_tokens
         self.queue_wait_seconds = 0.0
-        self.ingest = ingest
-        self.ingested_tokens = ingested_tokens
+        self._pin = session.pin
+        self._enqueued_at = time.monotonic()
         self._event = threading.Event()
         self._error: BaseException | None = None
 
@@ -91,65 +99,6 @@ class ScheduledDecode:
         if self._error is not None:
             raise self._error
         return self.results
-
-
-class _Job:
-    """Scheduler-internal state for one resident request."""
-
-    __slots__ = (
-        "handle",
-        "groups",
-        "position",
-        "constraint",
-        "temperature",
-        "top_k",
-        "top_p",
-        "stop",
-        "vocab_size",
-        "mask_cache",
-        "pin",
-        "enqueued_at",
-    )
-
-    def __init__(
-        self,
-        handle: ScheduledDecode,
-        root: _Group,
-        constraint: Constraint | None,
-        temperature: float,
-        top_k: int | None,
-        top_p: float | None,
-        stop: Callable[[], bool] | None,
-        vocab_size: int,
-        pin,
-    ) -> None:
-        self.handle = handle
-        self.groups = [root]
-        self.position = 0
-        self.constraint = constraint
-        self.temperature = temperature
-        self.top_k = top_k
-        self.top_p = top_p
-        self.stop = stop
-        self.vocab_size = vocab_size
-        self.mask_cache: dict[frozenset, np.ndarray] = {}
-        self.pin = pin
-        self.enqueued_at = time.monotonic()
-
-    def width(self) -> int:
-        """Live streams this job currently holds in the shared batch."""
-        return sum(len(group.streams) for group in self.groups)
-
-    def mask_at(self, position: int) -> np.ndarray | None:
-        """This step's admissibility mask (cached per pattern slot)."""
-        if self.constraint is None:
-            return None
-        allowed = self.constraint.allowed_at(position)
-        mask = self.mask_cache.get(allowed)
-        if mask is None:
-            mask = mask_for_ids(allowed, self.vocab_size)
-            self.mask_cache[allowed] = mask
-        return mask
 
 
 class ContinuousScheduler:
@@ -193,8 +142,8 @@ class ContinuousScheduler:
         self._metrics = metrics
         self._tracer = NULL_TRACER if tracer is None else tracer
         self._cond = threading.Condition()
-        self._pending: list[_Job] = []
-        self._resident: list[_Job] = []
+        self._pending: list[ScheduledDecode] = []
+        self._resident: list[ScheduledDecode] = []
         self._thread: threading.Thread | None = None
         self._closed = False
         self._admitted = 0
@@ -228,62 +177,27 @@ class ContinuousScheduler:
         ``generate_batch`` call.  ``stop`` is polled between shared steps
         from the loop thread, so it must be thread-safe (deadlines are).
         """
-        if len(rngs) == 0:
-            raise GenerationError("a scheduled decode needs at least one stream")
-        if isinstance(max_new_tokens, (int, np.integer)):
-            budgets = [int(max_new_tokens)] * len(rngs)
-        else:
-            budgets = [int(b) for b in max_new_tokens]
-        if len(budgets) != len(rngs):
-            raise GenerationError(
-                f"{len(rngs)} streams but {len(budgets)} token budgets"
-            )
-        if any(budget < 0 for budget in budgets):
-            raise GenerationError("max_new_tokens must be >= 0 for every stream")
+        budgets = stream_budgets(rngs, max_new_tokens)  # before any ingest
         tracer = self._tracer if tracer is None else tracer
         session = llm.prefill(
             context, tracer=tracer, state_cache=self.prefill_tree, pin=True
         )
-        handle = ScheduledDecode(
-            batch_width=len(rngs),
-            ingest=session.outcome,
-            ingested_tokens=session.ingested_tokens,
-        )
-        streams = [
-            _Stream(i, rng, budget)
-            for i, (rng, budget) in enumerate(zip(rngs, budgets))
-        ]
-        # Fork the frozen prefill state once, exactly like BatchedDecoder's
-        # root group — the tree, when attached, keeps the shared original.
-        root = _Group(
-            model=session.model.fork(), streams=streams, tokens=[], log_probs=[]
-        )
-        job = _Job(
-            handle=handle,
-            root=root,
-            constraint=constraint,
-            temperature=(
-                llm.spec.temperature if temperature is None else temperature
-            ),
-            top_k=None,
-            top_p=llm.spec.top_p,
-            stop=stop,
-            vocab_size=llm.vocab_size,
-            pin=session.pin,
+        job = ScheduledDecode(
+            llm, session, rngs, budgets, constraint, temperature, stop
         )
         if self._metrics is not None:
             self._metrics.counter("sched_requests_total").inc()
         with self._cond:
             if self._closed:
-                if job.pin is not None:
-                    self.prefill_tree.release(job.pin)
+                if job._pin is not None:
+                    self.prefill_tree.release(job._pin)
                 raise GenerationError("scheduler is closed")
             self._pending.append(job)
             if self._metrics is not None:
                 self._metrics.gauge("sched_queue_depth").set(len(self._pending))
             self._ensure_thread()
             self._cond.notify_all()
-        return handle
+        return job
 
     def _ensure_thread(self) -> None:
         if self._thread is None:
@@ -298,46 +212,46 @@ class ContinuousScheduler:
 
     def _admit_locked(self) -> None:
         """Admit queued jobs FIFO while they fit under the stream cap."""
-        resident_streams = sum(job.width() for job in self._resident)
+        resident_streams = sum(job.live_streams for job in self._resident)
         while self._pending:
             job = self._pending[0]
-            width = job.handle.batch_width
+            width = job.batch_width
             if self._resident and resident_streams + width > self.max_resident_streams:
                 break
             self._pending.pop(0)
-            job.handle.queue_wait_seconds = time.monotonic() - job.enqueued_at
+            job.queue_wait_seconds = time.monotonic() - job._enqueued_at
             self._resident.append(job)
             resident_streams += width
             self._admitted += 1
             if self._metrics is not None:
                 self._metrics.histogram("sched_queue_wait_seconds").observe(
-                    job.handle.queue_wait_seconds
+                    job.queue_wait_seconds
                 )
         if self._metrics is not None:
             self._metrics.gauge("sched_queue_depth").set(len(self._pending))
             self._metrics.gauge("sched_resident_requests").set(len(self._resident))
             self._metrics.gauge("sched_resident_streams").set(resident_streams)
 
-    def _finalize_locked(self, job: _Job, error: BaseException | None = None) -> None:
-        """Retire a job: record telemetry, release its pin, wake its caller."""
-        handle = job.handle
-        if handle._event.is_set():
+    def _finalize_locked(
+        self, job: ScheduledDecode, error: BaseException | None = None
+    ) -> None:
+        """Retire a job: record its error, release its pin, wake its caller."""
+        if job._event.is_set():
             return
-        handle.steps = len(handle.occupancy)
-        handle._error = error
+        job._error = error
         if job in self._resident:
             self._resident.remove(job)
-        if job.pin is not None:
-            self.prefill_tree.release(job.pin)
-            job.pin = None
+        if job._pin is not None:
+            self.prefill_tree.release(job._pin)
+            job._pin = None
         self._completed += 1
         if self._metrics is not None:
             self._metrics.counter("sched_requests_completed").inc()
             self._metrics.gauge("sched_resident_requests").set(len(self._resident))
             self._metrics.gauge("sched_resident_streams").set(
-                sum(item.width() for item in self._resident)
+                sum(item.live_streams for item in self._resident)
             )
-        handle._event.set()
+        job._event.set()
         self._cond.notify_all()
 
     def _run(self) -> None:
@@ -357,111 +271,41 @@ class ContinuousScheduler:
                     for job in jobs:
                         self._finalize_locked(job, error=exc)
 
-    def _step(self, jobs: list[_Job]) -> None:
-        """One shared iteration over every resident job.
+    def _step(self, jobs: list[ScheduledDecode]) -> None:
+        """One shared iteration: ``ready()`` per job, one ``lockstep_step``.
 
-        Per job the step performs *exactly* the single-request decoder's
-        sequence — retire streams at budget, poll ``stop``, record
-        occupancy, score, sample per stream with its own RNG, partition
-        groups by sampled token (first partition advances the model in
-        place, later partitions fork first) — so each job's RNG
+        Each job runs *exactly* the single-request decoder's step — retire,
+        stop poll, telemetry, score, sample, regroup — so its RNG
         consumption and model trajectory are independent of who else is
-        resident.
+        resident.  Jobs whose ``ready()`` is False have finished (or were
+        stopped) and retire here.
         """
-        live_jobs: list[_Job] = []
+        live: list[ScheduledDecode] = []
         for job in jobs:
-            handle = job.handle
-            live_groups: list[_Group] = []
-            for group in job.groups:
-                keep: list[_Stream] = []
-                for stream in group.streams:
-                    if stream.budget <= job.position:
-                        handle.results[stream.index] = GenerationResult(
-                            tokens=list(group.tokens),
-                            log_probs=list(group.log_probs),
-                        )
-                    else:
-                        keep.append(stream)
-                if keep:
-                    group.streams = keep
-                    live_groups.append(group)
-            job.groups = live_groups
-            if not job.groups:
+            if job.ready():
+                live.append(job)
+            else:
                 with self._cond:
                     self._finalize_locked(job)
-                continue
-            if job.stop is not None and job.stop():
-                handle.stopped = True
-                with self._cond:
-                    self._finalize_locked(job)
-                continue
-            handle.occupancy.append(job.width())
-            handle.group_counts.append(len(job.groups))
-            live_jobs.append(job)
-        if not live_jobs:
+        if not live:
             return
         with self._tracer.span("llm:sched_step") as span:
-            pairs = [(job, group) for job in live_jobs for group in job.groups]
             if span.is_recording:
-                span.set_attribute("resident_requests", len(live_jobs))
+                span.set_attribute("resident_requests", len(live))
                 span.set_attribute(
-                    "resident_streams",
-                    sum(len(group.streams) for _, group in pairs),
+                    "resident_streams", sum(job.live_streams for job in live)
                 )
-                span.set_attribute("groups", len(pairs))
-            # Score every distinct model state once, partitioned by
-            # concrete model class so homogeneous vectorised overrides of
-            # next_distribution_batch stay on their fast path.
-            rows: dict[int, np.ndarray] = {}
-            by_type: dict[type, list[int]] = {}
-            for index, (_, group) in enumerate(pairs):
-                by_type.setdefault(type(group.model), []).append(index)
-            for model_type, indices in by_type.items():
-                matrix = model_type.next_distribution_batch(
-                    [pairs[index][1].model for index in indices]
+                span.set_attribute(
+                    "groups", sum(job.group_counts[-1] for job in live)
                 )
-                for row, index in enumerate(indices):
-                    rows[index] = matrix[row]
-            # Sample and advance through one decode_step per sampling
-            # set-up — model class, vocabulary, knobs, masked or not —
-            # which is normally a single call for the whole step, each job
-            # masking its own rows.
-            owners: dict[int, _Job] = {}
-            setups: dict[tuple, list[tuple[int, np.ndarray | None]]] = {}
-            for index, (job, group) in enumerate(pairs):
-                for stream in group.streams:
-                    owners[id(stream)] = job
-                mask = job.mask_at(job.position)
-                setups.setdefault(
-                    (type(group.model), job.vocab_size, job.temperature,
-                     job.top_k, job.top_p, mask is None),
-                    [],
-                ).append((index, mask))
-            for job in live_jobs:
-                job.groups = []
-            for (_, _, temperature, top_k, top_p, unmasked), members in setups.items():
-                indices = [index for index, _ in members]
-                next_groups = decode_step(
-                    [pairs[index][1] for index in indices],
-                    np.stack([rows[index] for index in indices]),
-                    temperature=temperature,
-                    top_k=top_k,
-                    top_p=top_p,
-                    allowed_mask=(
-                        None if unmasked else np.stack([mask for _, mask in members])
-                    ),
-                )
-                for group in next_groups:
-                    owners[id(group.streams[0])].groups.append(group)
-            for job in live_jobs:
-                job.position += 1
+            lockstep_step(live)
         self._steps += 1
         if self._metrics is not None:
             self._metrics.histogram("sched_step_occupancy").observe(
-                sum(job.width() for job in live_jobs)
+                sum(job.live_streams for job in live)
             )
             self._metrics.histogram("sched_step_groups").observe(
-                sum(len(job.groups) for job in live_jobs)
+                sum(job.group_counts[-1] for job in live)
             )
 
     # ------------------------------------------------------------------
@@ -488,7 +332,7 @@ class ContinuousScheduler:
         with self._cond:
             return {
                 "resident_requests": len(self._resident),
-                "resident_streams": sum(job.width() for job in self._resident),
+                "resident_streams": sum(job.live_streams for job in self._resident),
                 "queue_depth": len(self._pending),
                 "admitted": self._admitted,
                 "completed": self._completed,

@@ -47,7 +47,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from repro.core.forecaster import MultiCastForecaster
 from repro.core.spec import ForecastSpec
 from repro.exceptions import ConfigError, ReproError
-from repro.observability.ledger import RunLedger
+from repro.observability.ledger import RunLedger, ledger_record, outcome_of
 from repro.observability.spans import NULL_TRACER, Span
 from repro.scheduling import ContinuousScheduler, RadixPrefillTree
 from repro.serving.cache import ForecastCache, forecast_digest
@@ -56,13 +56,6 @@ from repro.serving.policy import Deadline, RetryPolicy
 from repro.serving.request import ForecastRequest, ForecastResponse
 
 __all__ = ["ForecastEngine"]
-
-
-def _outcome(response: ForecastResponse) -> str:
-    """Terminal state of a served request: ``ok``, ``partial``, or ``failed``."""
-    if not response.ok:
-        return "failed"
-    return "partial" if response.partial else "ok"
 
 
 class ForecastEngine:
@@ -293,12 +286,28 @@ class ForecastEngine:
             response = self._serve(request, key, span, on_progress)
             if span.is_recording:
                 span.set_attribute("cache_hit", response.cache_hit)
-                span.set_attribute("outcome", _outcome(response))
+                span.set_attribute("outcome", outcome_of(response))
                 span.set_attribute("attempts", response.attempts)
                 response.trace = span
         if self.ledger is not None:
             self.ledger.append(
-                self._ledger_record(request, response, key, span, admission)
+                ledger_record(
+                    request,
+                    key,
+                    outcome_of(response),
+                    output=response.output,
+                    admission=admission.get("admission", "direct"),
+                    gateway_queue_wait_seconds=admission.get(
+                        "gateway_queue_wait_seconds"
+                    ),
+                    cache_hit=response.cache_hit,
+                    partial=response.partial,
+                    attempts=response.attempts,
+                    error=response.error,
+                    wall_seconds=response.wall_seconds,
+                    spans=span.to_dict() if span.is_recording else None,
+                    metrics=self.metrics,
+                )
             )
         return response
 
@@ -416,73 +425,3 @@ class ForecastEngine:
             wall_seconds=wall,
         )
 
-    def _ledger_record(
-        self,
-        request: ForecastRequest,
-        response: ForecastResponse,
-        key: str,
-        span: Span,
-        admission: dict | None = None,
-    ) -> dict:
-        """One self-contained JSONL record for the run ledger.
-
-        The ``metrics`` field is a compact counter snapshot at record time
-        (request totals, cache hits, failures) — enough to cross-check a
-        ``ledger summarize`` report against a ``--metrics-out`` dump.
-        ``admission`` carries the gateway's outcome and queue wait when the
-        request arrived through one (``admission="direct"`` otherwise).
-        """
-        output = response.output
-        admission = admission or {}
-        gateway_wait = admission.get("gateway_queue_wait_seconds")
-        record = {
-            "unix_time": round(time.time(), 3),
-            "name": request.name,
-            "tenant": request.tenant,
-            "admission": admission.get("admission", "direct"),
-            "gateway_queue_wait_seconds": (
-                round(gateway_wait, 9) if gateway_wait is not None else None
-            ),
-            "outcome": _outcome(response),
-            "config_hash": key,
-            "seed": int(request.effective_seed),
-            "scheme": request.config.scheme,
-            "sax": request.config.sax is not None,
-            "model": request.config.model,
-            "horizon": int(request.horizon),
-            "execution": (
-                output.metadata.get("execution", request.execution)
-                if output
-                else request.execution
-            ),
-            "strategy": (
-                output.metadata.get("strategy", request.config.strategy)
-                if output
-                else request.config.strategy
-            ),
-            "cache_hit": response.cache_hit,
-            "partial": response.partial,
-            "attempts": response.attempts,
-            "error": response.error,
-            "wall_seconds": round(response.wall_seconds, 9),
-            "prompt_tokens": output.prompt_tokens if output else 0,
-            "generated_tokens": output.generated_tokens if output else 0,
-            "ingest": output.metadata.get("ingest") if output else None,
-            "queue_wait_seconds": (
-                round(output.metadata["queue_wait_seconds"], 9)
-                if output and "queue_wait_seconds" in output.metadata
-                else None
-            ),
-            "timings": (
-                {k: round(v, 9) for k, v in output.timings.items()}
-                if output
-                else {}
-            ),
-            "spans": span.to_dict() if span.is_recording else None,
-            "metrics": {
-                name: instrument["value"]
-                for name, instrument in self.metrics.snapshot().items()
-                if instrument.get("type") == "counter"
-            },
-        }
-        return record

@@ -47,7 +47,7 @@ from multiprocessing import connection
 
 from repro.core.spec import ForecastSpec
 from repro.exceptions import ConfigError, ReproError
-from repro.observability.ledger import RunLedger
+from repro.observability.ledger import RunLedger, ledger_record, outcome_of
 from repro.observability.spans import NULL_TRACER, Span
 from repro.serving.cache import forecast_digest
 from repro.serving.metrics import MetricsRegistry
@@ -468,7 +468,7 @@ class ShardedEngine:
             )
             collect.finish()
             pending.root.children.append(collect)
-            pending.root.set_attribute("outcome", self._outcome(response))
+            pending.root.set_attribute("outcome", outcome_of(response))
             pending.root.finish()
             self.tracer.collector.add(pending.root)
             response.trace = pending.root
@@ -482,12 +482,6 @@ class ShardedEngine:
             record["attempts"] = attempts
             self.ledger.append(record)
         pending.future.set_result(response)
-
-    @staticmethod
-    def _outcome(response: ForecastResponse) -> str:
-        if not response.ok:
-            return "failed"
-        return "partial" if response.partial else "ok"
 
     # -- health ---------------------------------------------------------------
 
@@ -563,38 +557,20 @@ class ShardedEngine:
             self.tracer.collector.add(pending.root)
             response.trace = pending.root
         if self.ledger is not None:
-            request = pending.request
-            self.ledger.append(
-                {
-                    "unix_time": round(time.time(), 3),
-                    "name": request.name,
-                    "tenant": request.tenant,
-                    "admission": pending.extra.get("admission", "direct"),
-                    "gateway_queue_wait_seconds": None,
-                    "outcome": "failed",
-                    "config_hash": pending.digest,
-                    "seed": int(request.effective_seed),
-                    "scheme": request.config.scheme,
-                    "sax": request.config.sax is not None,
-                    "model": request.config.model,
-                    "horizon": int(request.horizon),
-                    "execution": request.execution,
-                    "cache_hit": False,
-                    "partial": False,
-                    "attempts": attempts_tried,
-                    "error": str(failure),
-                    "wall_seconds": 0.0,
-                    "prompt_tokens": 0,
-                    "generated_tokens": 0,
-                    "ingest": None,
-                    "queue_wait_seconds": None,
-                    "timings": {},
-                    "spans": None,
-                    "shard": None,
-                    "worker_pid": None,
-                    "metrics": {},
-                }
+            record = ledger_record(
+                pending.request,
+                pending.digest,
+                "failed",
+                admission=pending.extra.get("admission", "direct"),
+                gateway_queue_wait_seconds=pending.extra.get(
+                    "gateway_queue_wait_seconds"
+                ),
+                attempts=attempts_tried,
+                error=str(failure),
             )
+            record["shard"] = None
+            record["worker_pid"] = None
+            self.ledger.append(record)
         pending.future.set_result(response)
 
     def __repr__(self) -> str:

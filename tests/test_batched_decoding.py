@@ -15,6 +15,7 @@ Pins the tentpole contracts of the batched execution path:
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -84,6 +85,30 @@ class TestForecasterEquivalence:
         for output in (cold, warm):
             assert output.values.tobytes() == reference.values.tobytes()
             assert output.samples.tobytes() == reference.samples.tobytes()
+
+    def test_continuous_without_scheduler_decodes_inline(self, monkeypatch):
+        # With no scheduler injected, "continuous" runs the batched
+        # decoder's loop on the caller's thread: no loop thread is started.
+        started = []
+        start = threading.Thread.start
+
+        def record(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        spec = _spec(scheme="vc")
+        batched = MultiCastForecaster().forecast(spec)
+        continuous = MultiCastForecaster().forecast(
+            spec.replace(execution="continuous")
+        )
+        assert started == []
+        assert continuous.values.tobytes() == batched.values.tobytes()
+        assert continuous.samples.tobytes() == batched.samples.tobytes()
+        assert continuous.metadata["queue_wait_seconds"] == 0.0
+        assert continuous.metadata["batch_occupancy"] == (
+            batched.metadata["batch_occupancy"]
+        )
 
     @pytest.mark.parametrize("temperature", [0.0, 1.5])
     def test_temperature_extremes_stay_identical(self, temperature):

@@ -408,6 +408,30 @@ class TestContinuousScheduler:
             scheduler.submit(get_model("uniform-sim", 8), _tokens(5, 8), 2, [])
         scheduler.close()
 
+    @pytest.mark.parametrize(
+        "budget, streams, match",
+        [
+            (2, 0, "at least one stream"),
+            ([1, 2, 3], 2, "2 streams but 3 token budgets"),
+            ([1, -1], 2, ">= 0"),
+        ],
+    )
+    def test_submit_validates_before_ingest(self, budget, streams, match):
+        # A rejected submit must not touch the prefill tree: no lookup is
+        # counted and no pin is left behind on the cached prompt.
+        tree = RadixPrefillTree()
+        scheduler = ContinuousScheduler(prefill_tree=tree)
+        llm = get_model("uniform-sim", 8)
+        prompt = _tokens(12, 8)
+        scheduler.submit(llm, prompt, 2, _make_rngs(4, 1)).result(timeout=60)
+        before = tree.stats
+        with pytest.raises(GenerationError, match=match):
+            scheduler.submit(llm, prompt, budget, _make_rngs(5, streams))
+        assert tree.stats == before
+        assert all(_refs(tree))
+        assert scheduler.stats["queue_depth"] == 0
+        scheduler.close()
+
     def test_metrics_and_queue_wait_recorded(self):
         from repro.serving.metrics import MetricsRegistry
 

@@ -18,9 +18,9 @@ import pytest
 from repro.core import ForecastSpec, MultiCastConfig, MultiCastForecaster
 from repro.data import synthetic_multivariate
 from repro.exceptions import ConfigError
-from repro.gateway import ForecastGateway
+from repro.gateway import ForecastGateway, Overloaded, QuotaExceeded, TenantQuota
 from repro.llm.simulated import get_model
-from repro.observability import SpanCollector, Tracer
+from repro.observability import SpanCollector, Tracer, read_ledger
 from repro.scheduling import RadixPrefillTree
 from repro.serving import ForecastEngine, ForecastRequest
 from repro.sharding import (
@@ -366,6 +366,58 @@ def test_exhausted_retries_surface_as_typed_shard_failure(tmp_path):
 
 
 # -- gateway over a sharded engine ---------------------------------------------
+
+
+def test_every_ledger_writer_emits_one_key_set(tmp_path):
+    # Engine, coalesced, shed, quota and ShardFailure records are built by
+    # one function: same keys, plus shard/worker_pid on sharded records.
+    spec = _spec(seed=71)
+    with ForecastEngine(ledger=str(tmp_path / "direct.jsonl")) as engine:
+        engine.forecast(ForecastRequest.from_spec(spec))
+    (engine_record,) = read_ledger(tmp_path / "direct.jsonl")
+    keys = set(engine_record)
+    assert "strategy" in keys
+
+    sharded_path = tmp_path / "sharded.jsonl"
+
+    async def run():
+        engine = ShardedEngine(
+            num_shards=1,
+            max_attempts=1,
+            chaos_delay_seconds=0.6,
+            ledger=str(sharded_path),
+        )
+        try:
+            async with ForecastGateway(
+                engine,
+                max_pending=1,
+                default_quota=TenantQuota(rate=0.001, burst=1.0),
+            ) as gateway:
+                leader = await gateway.submit(spec, tenant="a")
+                follower = await gateway.submit(spec, tenant="b")
+                with pytest.raises(Overloaded):
+                    await gateway.submit(_spec(seed=72), tenant="c")
+                with pytest.raises(QuotaExceeded):
+                    await gateway.submit(spec, tenant="a")
+                _await_inflight(engine).process.terminate()
+                await gateway.result(leader)
+                await gateway.result(follower)
+            assert engine.forecast(_spec(seed=73)).ok  # the restarted shard
+        finally:
+            engine.close()
+
+    asyncio.run(run())
+    records = {record["admission"]: record for record in read_ledger(sharded_path)}
+    assert set(records) == {"shed", "quota", "admitted", "coalesced", "direct"}
+    for admission in ("shed", "quota", "coalesced"):
+        assert set(records[admission]) == keys, admission
+    failure = records["admitted"]
+    assert failure["error"].startswith("ShardFailure")
+    assert failure["gateway_queue_wait_seconds"] >= 0
+    assert set(failure) == keys | {"shard", "worker_pid"}
+    assert isinstance(records["direct"]["worker_pid"], int)
+    assert set(records["direct"]) == keys | {"shard", "worker_pid"}
+
 
 
 def test_gateway_over_sharded_engine_is_bit_identical(tmp_path):
